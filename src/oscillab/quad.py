@@ -51,18 +51,6 @@ def _gl(order: int):
     return x, w
 
 
-def _panel_quad(fn, edges: np.ndarray, order: int) -> np.ndarray:
-    """Per-panel Gauss-Legendre values of fn on consecutive [edges] panels."""
-    x, w = _gl(order)
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = fn(nodes.ravel()).reshape(nodes.shape)
-    return half * (vals @ w)
-
-
 def adaptive_complex_quad(
     fn: Callable,
     a: float,
@@ -268,10 +256,19 @@ def oscillatory_profile_reference(
 # so its cost can be made independent of |t|: the singular head [0, a^d]
 # (where eta = 1) reduces to an incomplete-gamma-type function, and the
 # smooth remainder is integrated with Legendre interpolation per panel and
-# exact oscillatory moments 2 i^k j_k(theta) (spherical Bessel).
+# exact oscillatory moments M_k(theta) = int_{-1}^1 e^{i theta s} P_k(s) ds
+# = 2 i^k j_k(theta) (spherical Bessel).  The moments depend on a panel only
+# through its half-width, so they are evaluated once per t for each distinct
+# width (one width for the uniform grids of c <= 1) and contracted with the
+# panels' phase factors by one matmul.  They are computed without scipy: a
+# 40-point Gauss rule for theta <= 16, upward recurrence from j_0 and j_1
+# above it, where k < theta keeps the recurrence stable (DLMF 10.51.1).
 # ---------------------------------------------------------------------------
 
 _FILON_ORDER = 12
+_MOMENT_SWITCH = 16.0  # upward recurrence above it needs _FILON_ORDER <= 16
+_MOMENT_NODES = 40
+_MOMENT_BLOCK = 1 << 16  # thetas per block of per-panel moments
 
 
 @lru_cache(maxsize=None)
@@ -301,22 +298,90 @@ def _unit_composite_rule(panels: int, order: int):
     return nodes, weights
 
 
-def _filon_moment_sum(ts: np.ndarray, edges: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum over panels of h e^{itm} * sum_k coeffs[p,k] 2 i^k j_k(t h)."""
-    from scipy.special import spherical_jn
+@lru_cache(maxsize=None)
+def _moment_rule(order: int):
+    """Positive Gauss nodes and the tables 2 w_j P_k(x_j) for even and odd k."""
+    x, w = _gl(_MOMENT_NODES)
+    pos = x > 0
+    table = 2.0 * np.polynomial.legendre.legvander(x[pos], order - 1) * w[pos, None]
+    return x[pos], table[:, 0::2], table[:, 1::2]
 
+
+def _legendre_moments(theta: np.ndarray, order: int) -> np.ndarray:
+    """M_k(theta) = int_{-1}^1 e^{i theta s} P_k(s) ds for k < order.
+
+    Returns shape theta.shape + (order,).  By parity, M_k is real for even k
+    (a cosine integral) and imaginary for odd k (a sine integral).
+    """
+    theta = np.asarray(theta, dtype=float)
+    flat = theta.ravel()
+    out = np.empty((flat.size, order), dtype=complex)
+    small = np.abs(flat) <= _MOMENT_SWITCH
+    if np.any(small):
+        x, even, odd = _moment_rule(order)
+        arg = np.outer(flat[small], x)
+        out[small, 0::2] = np.cos(arg) @ even
+        out[small, 1::2] = 1j * (np.sin(arg) @ odd)
+    if not np.all(small):
+        th = flat[~small]
+        j = [np.sin(th) / th]
+        j.append((j[0] - np.cos(th)) / th)
+        for k in range(1, order - 1):
+            j.append((2 * k + 1) / th * j[k] - j[k - 1])
+        out[~small] = 2.0 * np.stack(j[:order], axis=1) * 1j ** np.arange(order)
+    return out.reshape(theta.shape + (order,))
+
+
+def _width_groups(half: np.ndarray, scale: float):
+    """Group panel half-widths that agree to a few ulps of the edge scale.
+
+    Widths of one ``np.linspace`` differ only in their last bits; graded
+    widths differ by far more than the tolerance and stay apart.  Returns the
+    group widths (member means), the group label of every panel and the group
+    sizes.
+    """
+    order = np.argsort(half, kind="stable")
+    hs = half[order]
+    starts = np.ones(len(hs), dtype=bool)
+    starts[1:] = np.diff(hs) > 8.0 * np.finfo(float).eps * scale
+    first = np.flatnonzero(starts)
+    counts = np.diff(np.append(first, len(hs)))
+    widths = np.add.reduceat(hs, first) / counts
+    labels = np.empty(len(hs), dtype=int)
+    labels[order] = np.cumsum(starts) - 1
+    return widths, labels, counts
+
+
+def _filon_moment_sum(ts: np.ndarray, edges: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum over panels of h e^{itm} * sum_k coeffs[p,k] M_k(t h)."""
     order = coeffs.shape[1]
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
+    widths, labels, counts = _width_groups(half, float(np.max(np.abs(edges))))
+    # coefficients zeroed outside each shared group, so that every group
+    # contracts the whole phase matrix without copying its columns
+    shared = [
+        (widths[g], np.where((labels == g)[:, None], coeffs, 0.0))
+        for g in np.flatnonzero(counts > 1)
+    ]
+    lone = np.flatnonzero(counts[labels] == 1)
     out = np.zeros(len(ts), dtype=complex)
     chunk = max(1, int(2_000_000 // max(len(half), 1)))
     for i in range(0, len(ts), chunk):
         tc = ts[i : i + chunk]
-        theta = np.outer(tc, half)
-        S = np.zeros(theta.shape, dtype=complex)
-        for k in range(order):
-            S += (2.0 * 1j**k) * spherical_jn(k, theta) * coeffs[None, :, k]
-        out[i : i + chunk] = (np.exp(1j * np.outer(tc, mid)) * S) @ half
+        E = np.outer(tc, mid) * 1j
+        np.exp(E, out=E)
+        E *= half
+        acc = np.zeros(len(tc), dtype=complex)
+        for width, group_coeffs in shared:
+            M = _legendre_moments(tc * width, order)
+            acc += np.sum(M * (E @ group_coeffs), axis=1)
+        cols = max(1, _MOMENT_BLOCK // len(tc))
+        for j in range(0, len(lone), cols):
+            p = lone[j : j + cols]
+            M = _legendre_moments(np.outer(tc, half[p]), order)
+            acc += np.sum(E[:, p] * np.einsum("tpk,pk->tp", M, coeffs[p]), axis=1)
+        out[i : i + chunk] = acc
     return out
 
 

@@ -2,6 +2,7 @@ from math import gamma, pi, sqrt
 
 import numpy as np
 import pytest
+from scipy.special import spherical_jn
 
 from oscillab.bump import TestFunction, build_symmetric_cutoff, make_cutoff
 from oscillab.poly import parse
@@ -13,6 +14,9 @@ from oscillab.quad import (
     eval_oscillatory,
     oscillatory_profile,
     oscillatory_profile_reference,
+    _FILON_ORDER,
+    _filon_moment_sum,
+    _legendre_moments,
     radial_reduce,
 )
 
@@ -59,13 +63,60 @@ def test_erdelyi_leading_values():
 # -- one-parameter oscillatory profiles ----------------------------------------
 
 
-@pytest.mark.parametrize("d,npow", [(2, 0), (2, 1), (3, 0), (4, 0), (4, 2), (6, 1)])
+@pytest.mark.parametrize(
+    "d,npow", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (4, 0), (4, 2), (6, 1)]
+)
 def test_profile_matches_brute_force(d, npow):
-    ts = np.array([-150.0, -3.0, 0.0, 0.7, 12.0, 150.0])
+    # (2, 2) and (2, 3) have c = (npow+1)/d > 1 and so graded panels next to
+    # uniform ones; |t| = 3000 puts the moments on the recurrence branch
+    ts = np.array([-3000.0, -150.0, -3.0, 0.0, 0.7, 12.0, 150.0, 3000.0])
     fast, ferr = oscillatory_profile(ts, d, npow, ETA, tol=1e-12)
     ref, rerr = oscillatory_profile_reference(ts, d, npow, ETA, tol=1e-12)
     assert np.max(np.abs(fast - ref)) < 1e-9
     assert np.all(ferr < 1e-10)
+
+
+def test_legendre_moments_match_spherical_bessel():
+    theta = np.unique(np.concatenate([
+        np.linspace(0.0, 40.0, 4001),
+        np.linspace(15.99, 16.01, 201),  # both sides of the rule/recurrence switch
+        np.geomspace(1e-6, 1e4, 4001),
+    ]))
+    moments = _legendre_moments(theta, _FILON_ORDER)
+    assert moments.shape == (len(theta), _FILON_ORDER)
+    for k in range(_FILON_ORDER):
+        exact = 2.0 * 1j**k * spherical_jn(k, theta)
+        assert np.max(np.abs(moments[:, k] - exact)) <= 1e-13, k
+
+
+def _per_panel_moment_sum(ts, edges, coeffs):
+    """The moment sum with every panel's moments evaluated on their own."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    theta = np.outer(ts, half)
+    S = np.zeros(theta.shape, dtype=complex)
+    for k in range(coeffs.shape[1]):
+        S += (2.0 * 1j**k) * spherical_jn(k, theta) * coeffs[None, :, k]
+    return (np.exp(1j * np.outer(ts, mid)) * S) @ half
+
+
+@pytest.mark.parametrize("grid", ["uniform", "graded", "mixed"])
+def test_grouped_moment_sum_matches_per_panel_formula(grid):
+    graded = 0.5 * np.linspace(0.0, 1.0, 65) ** 3
+    edges = {
+        "uniform": np.linspace(1.0, 16.0, 769),
+        "graded": graded,
+        "mixed": np.concatenate(
+            [graded[:-1], np.linspace(0.5, 1.0, 33)[:-1], np.linspace(1.0, 16.0, 97)]
+        ),
+    }[grid]
+    rng = np.random.default_rng(7)
+    coeffs = rng.standard_normal((len(edges) - 1, _FILON_ORDER))
+    coeffs *= 0.5 ** np.arange(_FILON_ORDER)
+    ts = np.array([0.0, 0.7, 12.0, 150.0, 3000.0])
+    fast = _filon_moment_sum(ts, edges, coeffs)
+    slow = _per_panel_moment_sum(ts, edges, coeffs)
+    assert np.max(np.abs(fast - slow)) <= 1e-13
 
 
 @pytest.mark.parametrize("absolute", [False, True])
