@@ -7,7 +7,7 @@ measured decay rates against the exact combinatorial bounds.
 """
 
 from ._version import __version__
-from .bump import CutoffFunction, SymmetricCutoff, TestFunction, make_cutoff, make_test_function
+from .bump import CutoffFunction, SymmetricCutoff, TestFunction, make_cutoff
 from .experiments import (
     ExperimentConfig,
     HypothesisError,

@@ -7,8 +7,8 @@ outside a support radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "TestFunction",
     "SymmetricCutoff",
     "make_cutoff",
-    "build_symmetric_cutoff",
     "smoothstep",
 ]
 
@@ -110,10 +109,6 @@ class TestFunction:
         return mono * w
 
 
-def make_test_function(nu: Sequence[int], a: float, b: float, shape: str = "product") -> TestFunction:
-    return TestFunction(nu=tuple(nu), cutoff=make_cutoff(a, b), shape=shape)
-
-
 # ---------------------------------------------------------------------------
 # Symmetric cutoff from the point-blowup chart covering (n = 2)
 #
@@ -131,7 +126,6 @@ class SymmetricCutoff:
     n: int
     eps: float
     eta: CutoffFunction
-    symmetrized: bool = True
 
     def __post_init__(self):
         if self.n != 2:
@@ -173,11 +167,3 @@ class SymmetricCutoff:
         th1 = self._psi(t)
         val = self.eta(x1) * th1 + self.eta(x2) * (1.0 - th1)
         return np.where(both_zero, 1.0, val)
-
-    def symmetrize(self) -> "SymmetricCutoff":
-        """Average chi with its pullback under x -> -x; a no-op since chi is even."""
-        return SymmetricCutoff(n=self.n, eps=self.eps, eta=self.eta, symmetrized=True)
-
-
-def build_symmetric_cutoff(n: int, eps: float, eta: CutoffFunction) -> SymmetricCutoff:
-    return SymmetricCutoff(n=n, eps=eps, eta=eta)

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
 from ._version import __version__
@@ -19,14 +20,13 @@ from .bump import CutoffFunction, TestFunction
 from .experiments import (
     ExperimentConfig,
     HypothesisError,
-    export_report,
     run_theorem2_battery,
     run_theorem3_lab,
 )
 from .fit import fit_leading, geometric_grid
 from .poly import ParseError, parse
 from .quad import QuadratureBudgetError, eval_oscillatory
-from .reports import canonical_json, samples_from_csv, samples_to_csv
+from .reports import canonical_json, export_report, sample_row, samples_from_csv, samples_to_csv
 from .rlct import (
     gamma_from_resolution,
     load_resolution_data,
@@ -101,8 +101,8 @@ _CASTS = {
 }
 
 
-def _load_config_file(path: str) -> dict:
-    out = {}
+def _load_config_file(path: str):
+    """Yield (line number, key, value) for each key = value line of a config file."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -114,15 +114,19 @@ def _load_config_file(path: str) -> dict:
             key = key.replace("-", "_")
             if key == "format":
                 key = "fmt"
-            out[key] = _CASTS.get(key, str)(value)
-    return out
+            yield lineno, key, _CASTS.get(key, str)(value)
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge explicit flags over config-file values over built-in defaults."""
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
+        for lineno, key, value in _load_config_file(args.config):
+            if key in ("command", "config") or key not in vars(args):
+                raise UsageError(
+                    f"{args.config}:{lineno}: unknown key {key!r} for {args.command}"
+                )
+            merged[key] = value
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -221,13 +225,8 @@ def _cmd_oscillate(opts: dict) -> int:
         payload = {
             "kind": "oscillate",
             "version": __version__,
-            "config": _experiment_config(opts).to_json_dict(),
-            "samples": [
-                {"tau": s.tau, "re": s.value.real, "im": s.value.imag,
-                 "abs": abs(s.value), "err": s.error_estimate,
-                 "converged": s.converged}
-                for s in samples
-            ],
+            "config": asdict(_experiment_config(opts)),
+            "samples": [sample_row(s) for s in samples],
         }
         _emit(canonical_json(payload), opts, "samples.json")
     else:
@@ -254,8 +253,7 @@ def _cmd_fit(opts: dict) -> int:
 
 def _cmd_battery(opts: dict) -> int:
     report = run_theorem2_battery(config=_experiment_config(opts))
-    ext = {"json": "json", "csv": "csv", "md": "md"}[opts["fmt"]]
-    _emit(export_report(report, opts["fmt"]), opts, f"battery.{ext}")
+    _emit(export_report(report, opts["fmt"]), opts, f"battery.{opts['fmt']}")
     if any(row["status"] == "indeterminate" for row in report.rows):
         return EXIT_NONCONVERGED
     return EXIT_OK
@@ -264,8 +262,7 @@ def _cmd_battery(opts: dict) -> int:
 def _cmd_lab(opts: dict) -> int:
     _require(opts, "phase")
     report = run_theorem3_lab(opts["phase"], _experiment_config(opts))
-    ext = {"json": "json", "csv": "csv", "md": "md"}[opts["fmt"]]
-    _emit(export_report(report, opts["fmt"]), opts, f"theorem3.{ext}")
+    _emit(export_report(report, opts["fmt"]), opts, f"theorem3.{opts['fmt']}")
     fits = (report.symmetric_fit, report.generic_fit)
     if not all(fit["converged"] for fit in fits):
         return EXIT_NONCONVERGED
@@ -276,8 +273,7 @@ def _cmd_report(opts: dict) -> int:
     _require(opts, "input")
     with open(opts["input"]) as fh:
         payload = json.load(fh)
-    ext = {"json": "json", "csv": "csv", "md": "md"}[opts["fmt"]]
-    _emit(export_report(payload, opts["fmt"]), opts, f"report.{ext}")
+    _emit(export_report(payload, opts["fmt"]), opts, f"report.{opts['fmt']}")
     return EXIT_OK
 
 

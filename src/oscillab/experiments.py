@@ -11,7 +11,7 @@ contradicts, indeterminate}; the lab records evidence, it does not arbitrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from math import pi
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -20,17 +20,17 @@ import numpy as np
 
 from ._version import __version__
 from .bump import CutoffFunction, SymmetricCutoff, TestFunction
-from .fit import coefficient_at, fit_leading, geometric_grid
+from .fit import check_theorem2, coefficient_at, fit_leading, geometric_grid
 from .nondegen import SearchOptions, check_R_nondegenerate
 from .poly import Polynomial, parse
-from .polytope import is_convenient, newton_polytope, pair_distance_and_radii
+from .polytope import is_convenient, newton_polytope
 from .quad import (
     OscillatorySample,
     chart_parity_integral,
     erdelyi_leading,
     eval_oscillatory,
 )
-from .reports import canonical_json, markdown_summary, samples_to_csv
+from .reports import export_report, sample_row
 from .rlct import blowup_charts, rlct_newton_candidate
 
 __all__ = [
@@ -74,41 +74,9 @@ class ExperimentConfig:
     sym_tau_max: float = 1e3                    # fit window cap for chart-sum series
     sym_tau_count: int = 9
 
-    def to_json_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "dim": self.dim,
-            "nu": list(self.nu),
-            "cutoff": list(self.cutoff),
-            "shape": self.shape,
-            "tau_min": self.tau_min,
-            "tau_max": self.tau_max,
-            "tau_count": self.tau_count,
-            "tol": self.tol,
-            "seed": self.seed,
-            "overlap": self.overlap,
-            "chart_taus": list(self.chart_taus),
-            "sym_tau_max": self.sym_tau_max,
-            "sym_tau_count": self.sym_tau_count,
-        }
-
 
 def _sample_series(f: Polynomial, phi: TestFunction, taus, tol: float) -> List[OscillatorySample]:
     return [eval_oscillatory(f, phi, float(t), tol=tol) for t in taus]
-
-
-def _samples_json(samples: Sequence[OscillatorySample]) -> list:
-    return [
-        {
-            "tau": s.tau,
-            "re": s.value.real,
-            "im": s.value.imag,
-            "abs": abs(s.value),
-            "err": s.error_estimate,
-            "converged": s.converged,
-        }
-        for s in samples
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +117,6 @@ def run_theorem2_battery(
     config: Optional[ExperimentConfig] = None,
 ) -> BatteryReport:
     """Fit each fixture's exponent and compare against -1/d(f, phi), exactly bounded."""
-    from .fit import amplitude_polytope, check_theorem2
-
     fixtures = list(fixtures) if fixtures is not None else default_battery_fixtures()
     cfg = config or ExperimentConfig()
     taus = geometric_grid(cfg.tau_min, cfg.tau_max, cfg.tau_count)
@@ -189,7 +155,7 @@ def run_theorem2_battery(
                 "status": status,
             }
         )
-    return BatteryReport(rows=tuple(rows), passed=all_pass, config=cfg.to_json_dict())
+    return BatteryReport(rows=tuple(rows), passed=all_pass, config=asdict(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +321,6 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
 
     eta = CutoffFunction(*cfg.cutoff)
     sc = SymmetricCutoff(n=2, eps=cfg.overlap, eta=eta)
-    if d % 2:
-        sc = sc.symmetrize()  # enforce x -> -x invariance explicitly for odd degree
     charts = blowup_charts(f)
 
     # chart integrals at the spot-check taus, both radial-weight conventions
@@ -512,67 +476,9 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
         oracle=oracle,
         support_sweep=tuple(sweep),
         claims=tuple(claims),
-        config=cfg.to_json_dict(),
+        config=asdict(cfg),
         series={
-            "symmetric": _samples_json(sym_series),
-            "generic": _samples_json(gen_series),
+            "symmetric": [sample_row(s) for s in sym_series],
+            "generic": [sample_row(s) for s in gen_series],
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def _sample_rows_to_csv(rows: Sequence[dict]) -> str:
-    lines = ["tau,re,im,abs,err"]
-    for r in rows:
-        lines.append(
-            ",".join(format(float(r[k]), ".17g") for k in ("tau", "re", "im", "abs", "err"))
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _rows_to_csv(rows: Sequence[dict]) -> str:
-    if not rows:
-        return "\n"
-    keys = sorted(rows[0])
-    lines = [",".join(keys)]
-    for row in rows:
-        cells = []
-        for k in keys:
-            v = row.get(k, "")
-            if isinstance(v, float):
-                cells.append(format(v, ".17g"))
-            elif isinstance(v, (list, tuple, dict)):
-                cells.append('"' + str(v).replace('"', "'") + '"')
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def export_report(report, fmt: str, path: Optional[str] = None) -> str:
-    """Render a report to json, csv, or md text; optionally write it to path."""
-    if hasattr(report, "to_json_dict"):
-        report = report.to_json_dict()
-    if fmt == "json":
-        text = canonical_json(report)
-    elif fmt == "md":
-        text = markdown_summary(report)
-    elif fmt == "csv":
-        if "series" in report and "generic" in report["series"]:
-            text = _sample_rows_to_csv(report["series"]["generic"])
-        elif "samples" in report:
-            text = _sample_rows_to_csv(report["samples"])
-        elif "rows" in report:
-            text = _rows_to_csv(report["rows"])
-        else:
-            raise ValueError("report has no tabular section to export as csv")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

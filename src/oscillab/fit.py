@@ -10,8 +10,7 @@ quantities, never claims.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -32,7 +31,6 @@ __all__ = [
     "ExponentEstimate",
     "geometric_grid",
     "local_slopes",
-    "schedule_and_slope",
     "fit_leading",
     "deflate",
     "coefficient_at",
@@ -81,9 +79,6 @@ class ExponentEstimate:
             "all_below_noise": self.all_below_noise,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def geometric_grid(tau_min: float, tau_max: float, count: int) -> np.ndarray:
     if not (1 <= tau_min < tau_max):
@@ -107,14 +102,6 @@ def local_slopes(taus: Sequence[float], values: Sequence[complex]):
     return out
 
 
-def schedule_and_slope(tau_min: float, tau_max: float, count: int, values=None):
-    """Geometric tau grid, plus local slopes when sample values are supplied."""
-    grid = geometric_grid(tau_min, tau_max, count)
-    if values is None:
-        return grid, None
-    return grid, local_slopes(grid, values)
-
-
 def _usable(samples: Sequence[OscillatorySample]):
     taus = np.array([s.tau for s in samples], dtype=float)
     vals = np.array([s.value for s in samples], dtype=complex)
@@ -123,11 +110,8 @@ def _usable(samples: Sequence[OscillatorySample]):
     return taus[order], vals[order], errs[order]
 
 
-def _lsq_alpha(logt: np.ndarray, logm: np.ndarray, loglog: Optional[np.ndarray]):
-    cols = [np.ones_like(logt), logt]
-    if loglog is not None:
-        cols.append(loglog)
-    A = np.column_stack(cols)
+def _lsq_alpha(logt: np.ndarray, logm: np.ndarray):
+    A = np.column_stack([np.ones_like(logt), logt])
     coef, *_ = np.linalg.lstsq(A, logm, rcond=None)
     resid = float(np.sqrt(np.mean((A @ coef - logm) ** 2)))
     return coef, resid
@@ -158,13 +142,12 @@ def fit_leading(
     rel_noise = float(np.median(errs / mags))
 
     fits = {}
-    coef0, res0 = _lsq_alpha(logt, logm, None)
+    coef0, res0 = _lsq_alpha(logt, logm)
     fits[0] = (coef0[1], coef0[0], res0)
     best_k, best_res = 0, res0
     penalty = 2 * rel_noise
     for k in range(1, max(1, n_ambient)):
-        cols = np.column_stack([np.ones_like(logt), logt, k * loglog])
-        coef, *_ = np.linalg.lstsq(cols[:, :2], logm - k * loglog, rcond=None)
+        coef = _lsq_alpha(logt, logm - k * loglog)[0]
         resid = float(np.sqrt(np.mean((coef[0] + coef[1] * logt + k * loglog - logm) ** 2)))
         fits[k] = (coef[1], coef[0], resid)
         if resid + penalty < best_res:
@@ -173,8 +156,8 @@ def fit_leading(
 
     # stability across the two halves of the grid
     half = len(taus) // 2
-    ah_lo = _lsq_alpha(logt[:half], logm[:half] - best_k * loglog[:half], None)[0][1]
-    ah_hi = _lsq_alpha(logt[half:], logm[half:] - best_k * loglog[half:], None)[0][1]
+    ah_lo = _lsq_alpha(logt[:half], logm[:half] - best_k * loglog[:half])[0][1]
+    ah_hi = _lsq_alpha(logt[half:], logm[half:] - best_k * loglog[half:])[0][1]
     stable = abs(ah_lo - ah_hi) < stability_tol
 
     model = taus**alpha * np.log(taus) ** best_k
@@ -272,18 +255,6 @@ class BoundReport:
     slack: float
     passed: Optional[bool]             # None = indeterminate (unconverged fit)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "bound_pair_distance": str(self.bound_pair_distance),
-            "bound_radii": str(self.bound_radii),
-            "d_pair": str(self.d_pair),
-            "r": str(self.r),
-            "r_prime": str(self.r_prime),
-            "slack": self.slack,
-            "passed": self.passed,
-        }
-
 
 def amplitude_polytope(phi: TestFunction):
     """Newton polytope of x^nu * bump: the bump is 1 near 0, so it is nu + orthant."""
@@ -325,15 +296,6 @@ class DecayReport:
     passed: bool
     vacuous: bool
     usable_points: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-            "usable_points": self.usable_points,
-        }
 
 
 def cutoff_independence_check(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Polynomial",
@@ -149,11 +149,6 @@ class Polynomial:
     @property
     def support(self) -> frozenset:
         return frozenset(self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
 
     def homogeneous_degree(self) -> Optional[int]:
         """The common total degree of all terms, or None if degrees are mixed."""

@@ -9,7 +9,6 @@ points and coordinate directions, which is exact and adequate at desk scale.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -100,9 +99,6 @@ class NewtonPolytope:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def _minimal_points(support) -> List[Tuple[int, ...]]:
     pts = sorted({tuple(int(x) for x in p) for p in support})
@@ -152,30 +148,6 @@ def _enumerate_facets(minpts: List[Tuple[int, ...]], n: int) -> List[FaceFunctio
                 if n == 1 or rank_exact(span) == n - 1:
                     found[key] = FaceFunctional.from_weights(w)
     return list(found.values())
-
-
-def _vertices_from_facets(facets: List[FaceFunctional], n: int) -> List[Tuple[int, ...]]:
-    constraints = [(list(f.weights), Fraction(1)) for f in facets]
-    for i in range(n):
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1)
-        constraints.append((row, Fraction(0)))
-    verts = set()
-    for subset in combinations(constraints, n):
-        rows = [c[0] for c in subset]
-        rhs = [c[1] for c in subset]
-        v = solve_exact(rows, rhs)
-        if v is None or any(x < 0 for x in v):
-            continue
-        if any(f(v) < 1 for f in facets):
-            continue
-        verts.add(tuple(v))
-    out = []
-    for v in sorted(verts):
-        if any(x.denominator != 1 for x in v):
-            raise RuntimeError(f"non-integer polytope vertex {v}")
-        out.append(tuple(int(x) for x in v))
-    return out
 
 
 def build_polytope(support) -> NewtonPolytope:

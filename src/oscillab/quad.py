@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, gamma, pi
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -861,69 +861,42 @@ def chart_parity_integral(
 
     ``mode`` selects the radial weight: "signed" uses y^(n-1) (the form
     convention) and "absolute" uses |y|^(n-1) (the measure convention).
-    The yhat domain is the box |yhat_j| < 1 + eps; h lives in n-1 variables.
+    Only n = 2 is implemented: h is univariate and yhat ranges over
+    |yhat| < 1 + eps.
     """
     if mode not in ("signed", "absolute"):
         raise ValueError("mode must be 'signed' or 'absolute'")
     if h.n != n - 1:
         raise ValueError("chart polynomial must have n-1 variables")
-    if n not in (2, 3):
-        raise ValueError("chart integrals support n in {2, 3}")
+    if n != 2:
+        raise ValueError("chart integrals support n = 2")
     eta = eta or CutoffFunction(1.0, 2.0)
     lim = 1.0 + eps
-    absolute = mode == "absolute"
-    prof_tol = tol / (8 * lim ** (n - 1))
+    prof_tol = tol / (8 * lim)
 
-    def inner(cvals):
-        vals, errs = oscillatory_profile(
-            tau * cvals, d, n - 1, eta,
-            tol=prof_tol, full_line=True, absolute=absolute, max_panels=max_panels,
-        )
-        return vals, errs
-
-    if n == 2:
-        # the outer integrand v -> P(tau h(v)) theta(v) is smooth and barely
-        # oscillatory (the profile's leading phase is constant), so fixed-order
-        # Gauss with panel doubling converges fast; each level is one batched
-        # profile evaluation over all outer nodes
-        x, w = _gl(16)
-        prev = None
-        err = np.inf
-        conv = False
-        for m in (8, 16, 32, 64):
-            edges = np.linspace(-lim, lim, m + 1)
-            halfw = 0.5 * (edges[1:] - edges[:-1])
-            nodes = ((0.5 * (edges[1:] + edges[:-1]))[:, None] + halfw[:, None] * x[None, :]).ravel()
-            wgts = (halfw[:, None] * w[None, :]).ravel()
-            cvals = np.asarray(h.evaluate([nodes])) + np.zeros_like(nodes)
-            vals, perr = inner(cvals)
-            total = complex(np.dot(vals * theta(nodes), wgts))
-            inner_err = float(np.dot(np.abs(wgts), perr))
-            if prev is not None:
-                err = abs(total - prev) + inner_err
-                if err <= tol:
-                    conv = True
-                    prev = total
-                    break
-            prev = total
-        return OscillatorySample(float(tau), complex(prev), float(err), conv)
-
-    # n == 3: tensor Gauss over the 2-d yhat box with doubling
+    # the outer integrand v -> P(tau h(v)) theta(v) is smooth and barely
+    # oscillatory (the profile's leading phase is constant), so fixed-order
+    # Gauss with panel doubling converges fast; each level is one batched
+    # profile evaluation over all outer nodes
+    x, w = _gl(16)
     prev = None
     err = np.inf
-    for m in (24, 48, 96, 192):
-        x, w = _gl(m)
-        u = lim * x
-        wu = lim * w
-        U1 = u[:, None] + 0.0 * u[None, :]
-        U2 = u[None, :] + 0.0 * u[:, None]
-        C = h.evaluate([U1, U2])
-        vals, _ = inner(C.ravel())
-        vals = vals.reshape(C.shape) * theta(U1, U2)
-        total = complex(wu @ vals @ wu)
+    for m in (8, 16, 32, 64):
+        edges = np.linspace(-lim, lim, m + 1)
+        halfw = 0.5 * (edges[1:] - edges[:-1])
+        nodes = ((0.5 * (edges[1:] + edges[:-1]))[:, None] + halfw[:, None] * x[None, :]).ravel()
+        wgts = (halfw[:, None] * w[None, :]).ravel()
+        cvals = np.asarray(h.evaluate([nodes])) + np.zeros_like(nodes)
+        vals, perr = oscillatory_profile(
+            tau * cvals, d, 1, eta, tol=prof_tol, full_line=True,
+            absolute=mode == "absolute", max_panels=max_panels,
+        )
+        total = complex(np.dot(vals * theta(nodes), wgts))
+        inner_err = float(np.dot(np.abs(wgts), perr))
         if prev is not None:
-            err = abs(total - prev)
-            if err <= tol:
-                return OscillatorySample(float(tau), total, float(err), True)
+            err = abs(total - prev) + inner_err
         prev = total
-    return OscillatorySample(float(tau), prev, float(err), False)
+        conv = bool(err <= tol)
+        if conv:
+            break
+    return OscillatorySample(float(tau), complex(prev), float(err), conv)

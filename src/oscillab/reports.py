@@ -1,26 +1,33 @@
-"""Deterministic report serialization: canonical JSON, CSV sample tables, markdown.
+"""Deterministic report serialization: canonical JSON, CSV tables, markdown.
 
+Every sample, config and result reaches JSON or CSV through this module.
 Two runs with the same inputs must produce byte-identical files, so every
 writer here sorts keys, fixes float formatting, and never embeds timestamps.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .quad import OscillatorySample
 
 __all__ = [
     "format_float",
     "canonical_json",
+    "sample_row",
+    "sample_rows_to_csv",
     "samples_to_csv",
     "samples_from_csv",
+    "rows_to_csv",
     "markdown_summary",
+    "export_report",
 ]
 
-CSV_HEADER = "tau,re,im,abs,err"
+SAMPLE_COLUMNS = ("tau", "re", "im", "abs", "err")
+CSV_HEADER = ",".join(SAMPLE_COLUMNS)
 
 
 def format_float(x: float) -> str:
@@ -33,16 +40,27 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
 
 
-def samples_to_csv(samples: Iterable[OscillatorySample]) -> str:
+def sample_row(s: OscillatorySample) -> dict:
+    """The report row of one sample: {tau, re, im, abs, err, converged}."""
+    return {
+        "tau": s.tau,
+        "re": s.value.real,
+        "im": s.value.imag,
+        "abs": abs(s.value),
+        "err": s.error_estimate,
+        "converged": s.converged,
+    }
+
+
+def sample_rows_to_csv(rows: Iterable[Mapping]) -> str:
+    """The tau,re,im,abs,err table of sample rows, 17 significant digits."""
     lines = [CSV_HEADER]
-    for s in samples:
-        lines.append(
-            ",".join(
-                format_float(v)
-                for v in (s.tau, s.value.real, s.value.imag, abs(s.value), s.error_estimate)
-            )
-        )
+    lines.extend(",".join(format_float(r[k]) for k in SAMPLE_COLUMNS) for r in rows)
     return "\n".join(lines) + "\n"
+
+
+def samples_to_csv(samples: Iterable[OscillatorySample]) -> str:
+    return sample_rows_to_csv(map(sample_row, samples))
 
 
 def samples_from_csv(text: str) -> list:
@@ -58,6 +76,22 @@ def samples_from_csv(text: str) -> list:
         tau, re, im, _, err = (float(p) for p in line.split(","))
         out.append(OscillatorySample(tau=tau, value=complex(re, im), error_estimate=err))
     return out
+
+
+def rows_to_csv(rows: Sequence[Mapping]) -> str:
+    """A row table as CSV: the first row's keys sorted, floats to 17 digits."""
+    if not rows:
+        return "\n"
+    keys = sorted(rows[0])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(keys)
+    for row in rows:
+        writer.writerow(
+            format_float(v) if isinstance(v, float) else str(v)
+            for v in (row.get(k, "") for k in keys)
+        )
+    return out.getvalue()
 
 
 def _fmt_value(v) -> str:
@@ -108,3 +142,28 @@ def markdown_summary(report: Mapping) -> str:
             )
         lines.append("")
     return "\n".join(lines)
+
+
+def export_report(report, fmt: str, path: Optional[str] = None) -> str:
+    """Render a report to json, csv, or md text; optionally write it to path."""
+    if hasattr(report, "to_json_dict"):
+        report = report.to_json_dict()
+    if fmt == "json":
+        text = canonical_json(report)
+    elif fmt == "md":
+        text = markdown_summary(report)
+    elif fmt == "csv":
+        if "series" in report and "generic" in report["series"]:
+            text = sample_rows_to_csv(report["series"]["generic"])
+        elif "samples" in report:
+            text = sample_rows_to_csv(report["samples"])
+        elif "rows" in report:
+            text = rows_to_csv(report["rows"])
+        else:
+            raise ValueError("report has no tabular section to export as csv")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text

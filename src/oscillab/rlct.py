@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .nondegen import SearchOptions, check_R_nondegenerate
 from .poly import Polynomial
@@ -72,9 +72,6 @@ class RlctReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class BlowupChart:
@@ -92,6 +89,11 @@ def gamma_from_resolution(data: ResolutionDatum) -> Fraction:
 def load_resolution_data(text: str) -> ResolutionDatum:
     """Parse the JSON array [{"m": int, "k": int}, ...]."""
     raw = json.loads(text)
+    if not isinstance(raw, list):
+        raise ValueError(f"resolution data must be a JSON array, got {raw!r}")
+    for j, item in enumerate(raw):
+        if not isinstance(item, dict) or any(type(item.get(key)) is not int for key in ("m", "k")):
+            raise ValueError(f"resolution data entry {j} needs integer m and k: {item!r}")
     return ResolutionDatum(tuple((item["m"], item["k"]) for item in raw))
 
 

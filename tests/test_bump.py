@@ -6,7 +6,6 @@ from oscillab.bump import (
     CutoffFunction,
     SymmetricCutoff,
     TestFunction,
-    build_symmetric_cutoff,
     make_cutoff,
     smoothstep,
 )
@@ -73,7 +72,7 @@ def test_test_function_validation():
 
 
 def _chi():
-    return build_symmetric_cutoff(2, 0.25, make_cutoff(1.0, 2.0))
+    return SymmetricCutoff(n=2, eps=0.25, eta=make_cutoff(1.0, 2.0))
 
 
 def test_symmetric_cutoff_is_one_near_origin():
@@ -116,17 +115,8 @@ def test_chart_weights_partition_unity():
         chi.chart_weight(3)
 
 
-def test_symmetrize_is_noop():
-    chi = _chi()
-    sym = chi.symmetrize()
-    xs = np.linspace(-2.5, 2.5, 33)
-    X, Y = np.meshgrid(xs, xs)
-    assert np.allclose(chi(X, Y), sym(X, Y))
-    assert sym.symmetrized
-
-
 def test_symmetric_cutoff_validation():
     with pytest.raises(ValueError):
-        build_symmetric_cutoff(3, 0.25, make_cutoff(1, 2))
+        SymmetricCutoff(n=3, eps=0.25, eta=make_cutoff(1, 2))
     with pytest.raises(ValueError):
-        build_symmetric_cutoff(2, 0.9, make_cutoff(1, 2))
+        SymmetricCutoff(n=2, eps=0.9, eta=make_cutoff(1, 2))

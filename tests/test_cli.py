@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -59,6 +61,16 @@ def test_rlct_resolution_data(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["value"] == "1/2"
     assert payload["method"] == "resolution"
+
+
+@pytest.mark.parametrize("payload", ['[{"m": 4}]', '{"m": 4, "k": 1}'])
+def test_rlct_malformed_resolution_data_is_usage_error(capsys, tmp_path, payload):
+    data = tmp_path / "res.json"
+    data.write_text(payload)
+    code, _, err = run(capsys, "rlct", "--resolution-data", str(data))
+    assert code == 1
+    assert "usage error" in err and "resolution data" in err
+    assert "Traceback" not in err
 
 
 def test_oscillate_csv_header_and_precision(capsys):
@@ -136,6 +148,15 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert json.loads(out)["facets"][0]["weights"] == ["1/4", "1/4"]
 
 
+def test_config_file_unknown_key_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("phase = x1^2 + x2^2\ntau_mn = 500\n")
+    code, out, err = run(capsys, "oscillate", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert "tau_mn" in err and ":2:" in err
+
+
 def test_out_directory_and_determinism(capsys, tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -171,3 +192,28 @@ def test_battery_command(capsys, tmp_path):
     assert code == 0
     assert (outdir / "battery.md").exists()
     assert ": pass" in out
+
+
+def test_report_csv_matches_oscillate_csv(capsys, tmp_path):
+    args = ["oscillate", "--phase", "x1^2 + x2^4", "--dim", "2",
+            "--tau-min", "100", "--tau-max", "1000", "--tau-count", "8"]
+    code, direct_csv, _ = run(capsys, *args, "--format", "csv")
+    assert code == 0
+    code, payload, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    src = tmp_path / "samples.json"
+    src.write_text(payload)
+    code, rendered, _ = run(capsys, "report", "--input", str(src), "--format", "csv")
+    assert code == 0
+    assert rendered == direct_csv
+
+
+def test_battery_csv_rows_match_header(capsys):
+    code, out, _ = run(capsys, "theorem2-battery", "--tau-count", "12", "--format", "csv")
+    assert code == 0
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert rows
+    label = header.index("label")
+    for row in rows:
+        assert len(row) == len(header)
+        assert row[label] == f"{row[header.index('phase')]} | nu={row[header.index('nu')]}"

@@ -13,7 +13,6 @@ from oscillab.fit import (
     fit_leading,
     geometric_grid,
     local_slopes,
-    schedule_and_slope,
 )
 from oscillab.poly import parse
 from oscillab.quad import OscillatorySample
@@ -57,13 +56,6 @@ def test_local_slopes_nan_at_zero_values():
     vals[4] = 0.0
     slopes = local_slopes(taus, vals)
     assert np.isnan(slopes[3]) and np.isnan(slopes[5])
-
-
-def test_schedule_and_slope():
-    grid, slopes = schedule_and_slope(10.0, 1e3, 12)
-    assert slopes is None and len(grid) == 12
-    _, slopes = schedule_and_slope(10.0, 1e3, 12, values=grid**-0.5)
-    assert np.allclose(slopes[1:-1], -0.5, atol=1e-9)
 
 
 def test_fit_leading_pure_power():

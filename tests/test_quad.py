@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
-from oscillab.bump import TestFunction, build_symmetric_cutoff, make_cutoff
+from oscillab.bump import SymmetricCutoff, TestFunction, make_cutoff
 from oscillab.poly import parse
 from oscillab.quad import (
     QuadratureBudgetError,
@@ -237,7 +237,7 @@ def test_radial_reduce_validation():
 
 
 def test_chart_parity_signed_vanishes_for_even_phase():
-    chi = build_symmetric_cutoff(2, 0.25, ETA)
+    chi = SymmetricCutoff(n=2, eps=0.25, eta=ETA)
     h = parse("1 + x1^4", 1)  # chart transform of x1^4 + x2^4
     theta = chi.chart_weight(1)
     signed = chart_parity_integral(4, 2, h, theta, "signed", 100.0, tol=1e-10)
