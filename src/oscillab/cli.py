@@ -26,7 +26,7 @@ from .experiments import (
 from .fit import fit_leading, geometric_grid
 from .poly import ParseError, parse
 from .quad import QuadratureBudgetError, eval_oscillatory
-from .reports import canonical_json, export_report, sample_row, samples_from_csv, samples_to_csv
+from .reports import canonical_json, export_report, sample_row, samples_from_csv
 from .rlct import (
     gamma_from_resolution,
     load_resolution_data,
@@ -65,7 +65,8 @@ def _add_common(p: _Parser):
     p.add_argument("--format", choices=["json", "csv", "md"], dest="fmt")
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="oscillab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -79,7 +80,7 @@ def _build_parser() -> _Parser:
                            help="JSON file: [{\"m\": int, \"k\": int}, ...]")
         if name in ("fit", "report"):
             p.add_argument("--input", help="input file (samples CSV or report JSON)")
-    return parser
+    return parser, sub.choices
 
 
 _DEFAULTS = {
@@ -95,12 +96,6 @@ _DEFAULTS = {
     "fmt": "json",
 }
 
-_CASTS = {
-    "dim": int, "tau_min": float, "tau_max": float, "tau_count": int,
-    "tol": float, "seed": int,
-}
-
-
 def _load_config_file(path: str):
     """Yield (line number, key, value) for each key = value line of a config file."""
     with open(path) as fh:
@@ -114,19 +109,31 @@ def _load_config_file(path: str):
             key = key.replace("-", "_")
             if key == "format":
                 key = "fmt"
-            yield lineno, key, _CASTS.get(key, str)(value)
+            yield lineno, key, value
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _config_value(action: argparse.Action, text: str):
+    """A config-file value through its flag's own argparse type and choices."""
+    value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"choose from {', '.join(map(str, action.choices))}")
+    return value
+
+
+def _resolve(args: argparse.Namespace, command_parser: argparse.ArgumentParser) -> dict:
     """Merge explicit flags over config-file values over built-in defaults."""
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        for lineno, key, value in _load_config_file(args.config):
+        actions = {a.dest: a for a in command_parser._actions}
+        for lineno, key, text in _load_config_file(args.config):
+            where = f"{args.config}:{lineno}"
             if key in ("command", "config") or key not in vars(args):
-                raise UsageError(
-                    f"{args.config}:{lineno}: unknown key {key!r} for {args.command}"
-                )
-            merged[key] = value
+                raise UsageError(f"{where}: unknown key {key!r} for {args.command}")
+            try:
+                merged[key] = _config_value(actions[key], text)
+            except (TypeError, ValueError) as exc:
+                flag = actions[key].option_strings[0]
+                raise UsageError(f"{where}: invalid value {text!r} for {flag}: {exc}") from None
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -221,16 +228,13 @@ def _cmd_oscillate(opts: dict) -> int:
     phi = _make_amplitude(opts)
     taus = geometric_grid(opts["tau_min"], opts["tau_max"], opts["tau_count"])
     samples = [eval_oscillatory(f, phi, float(t), tol=opts["tol"]) for t in taus]
-    if opts["fmt"] == "json":
-        payload = {
-            "kind": "oscillate",
-            "version": __version__,
-            "config": asdict(_experiment_config(opts)),
-            "samples": [sample_row(s) for s in samples],
-        }
-        _emit(canonical_json(payload), opts, "samples.json")
-    else:
-        _emit(samples_to_csv(samples), opts, "samples.csv")
+    payload = {
+        "kind": "oscillate",
+        "version": __version__,
+        "config": asdict(_experiment_config(opts)),
+        "samples": [sample_row(s) for s in samples],
+    }
+    _emit(export_report(payload, opts["fmt"]), opts, f"samples.{opts['fmt']}")
     return EXIT_OK if all(s.converged for s in samples) else EXIT_NONCONVERGED
 
 
@@ -289,13 +293,13 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        opts = _resolve(args)
+        opts = _resolve(args, commands[args.command])
         return _COMMANDS[args.command](opts)
     except (UsageError, ParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -126,8 +126,9 @@ def run_theorem2_battery(
         f = parse(phase_text, cfg.dim)
         phi = TestFunction(nu=tuple(nu), cutoff=CutoffFunction(*cfg.cutoff), shape="product")
         samples = _sample_series(f, phi, taus, cfg.tol)
-        report = check_theorem2(f, phi, samples, tolerance=BOUND_TOLERANCE)
-        rlct = rlct_newton_candidate(f, nondegen_opts=None)
+        poly = newton_polytope(f)
+        report = check_theorem2(f, phi, samples, tolerance=BOUND_TOLERANCE, polytope=poly)
+        rlct = rlct_newton_candidate(f, nondegen_opts=None, polytope=poly)
         # exact consistency of the two bound expressions: d <= r / (r' + n)
         pair_ok = report.d_pair <= report.r / (report.r_prime + f.n)
         if report.passed is None:
@@ -297,7 +298,8 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
     d = f.homogeneous_degree()
     if d is None:
         raise HypothesisError("homogeneous", "phase is not homogeneous")
-    convenient, _ = is_convenient(newton_polytope(f))
+    poly = newton_polytope(f)
+    convenient, _ = is_convenient(poly)
     if not convenient:
         raise HypothesisError("convenient", "phase is not convenient")
     if f.n % 2:
@@ -307,7 +309,7 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
 
     n = f.n
     gamma = Fraction(n, d)
-    verdict_nd = check_R_nondegenerate(f, SearchOptions(starts=60, seed=cfg.seed))
+    verdict_nd = check_R_nondegenerate(f, SearchOptions(starts=60, seed=cfg.seed), polytope=poly)
     smin = sphere_min_abs(f)
     checks = {
         "homogeneous": True,

@@ -19,6 +19,7 @@ import numpy as np
 from .bump import CutoffFunction, TestFunction
 from .poly import Polynomial
 from .polytope import (
+    NewtonPolytope,
     build_polytope,
     is_convenient,
     newton_polytope,
@@ -266,9 +267,13 @@ def check_theorem2(
     phi: TestFunction,
     samples: Sequence[OscillatorySample],
     tolerance: float = 0.05,
+    polytope: Optional[NewtonPolytope] = None,
 ) -> BoundReport:
-    """Compare a fitted exponent against the exact pair-distance bound."""
-    pf = newton_polytope(f)
+    """Compare a fitted exponent against the exact pair-distance bound.
+
+    ``polytope`` is f's Newton polytope when the caller has already built it.
+    """
+    pf = polytope if polytope is not None else newton_polytope(f)
     ok, _ = is_convenient(pf)
     if not ok:
         raise ValueError("the bound requires a convenient phase")

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .poly import Polynomial
-from .polytope import FaceDescriptor, compact_faces, is_convenient, newton_polytope
+from .polytope import FaceDescriptor, NewtonPolytope, compact_faces, is_convenient, newton_polytope
 
 __all__ = ["SearchOptions", "NondegeneracyVerdict", "check_R_nondegenerate",
            "check_C_nondegenerate"]
@@ -115,8 +115,10 @@ def _search_face(face: FaceDescriptor, fsig: Polynomial, opts: SearchOptions,
     return best_any, best_interior
 
 
-def _check(f: Polynomial, opts: SearchOptions, complex_field: bool) -> NondegeneracyVerdict:
-    poly = newton_polytope(f)
+def _check(f: Polynomial, opts: SearchOptions, complex_field: bool,
+           poly: Optional[NewtonPolytope] = None) -> NondegeneracyVerdict:
+    if poly is None:
+        poly = newton_polytope(f)
     ok, _ = is_convenient(poly)
     if not ok:
         raise ValueError("nondegeneracy search requires a convenient polynomial")
@@ -146,9 +148,13 @@ def _check(f: Polynomial, opts: SearchOptions, complex_field: bool) -> Nondegene
     )
 
 
-def check_R_nondegenerate(f: Polynomial, opts: SearchOptions = SearchOptions()) -> NondegeneracyVerdict:
-    """Search for a torus zero of the face-gradient system over the reals."""
-    return _check(f, opts, complex_field=False)
+def check_R_nondegenerate(f: Polynomial, opts: SearchOptions = SearchOptions(),
+                          polytope: Optional[NewtonPolytope] = None) -> NondegeneracyVerdict:
+    """Search for a torus zero of the face-gradient system over the reals.
+
+    ``polytope`` is f's Newton polytope when the caller has already built it.
+    """
+    return _check(f, opts, complex_field=False, poly=polytope)
 
 
 def check_C_nondegenerate(f: Polynomial, opts: SearchOptions = SearchOptions()) -> NondegeneracyVerdict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, gamma, pi
+from math import ceil, gamma, pi, prod
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,6 +49,35 @@ class OscillatorySample:
 def _gl(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
+
+
+def _composite(edges: np.ndarray, order: int):
+    """Composite Gauss-Legendre nodes and weights on the panels of ``edges``, flattened."""
+    x, w = _gl(order)
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    nodes = ((0.5 * (hi + lo))[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
+def _refine(levels, tol: float):
+    """Successive-level error estimate over an iterable of (value, inner_err).
+
+    Each level after the first has err = |value - previous value| + inner_err,
+    elementwise for arrays of values; iteration stops at the first level with
+    max(err) <= tol.  Returns (value, err, converged) of the last level run,
+    with err = inf when only one level ran.
+    """
+    prev, err = None, np.inf
+    for value, inner_err in levels:
+        if prev is not None:
+            # builtin abs: on a Python complex it is not bitwise np.abs
+            err = abs(value - prev) + inner_err
+            if float(np.max(err, initial=0.0)) <= tol:
+                return value, err, True
+        prev = value
+    return prev, err, False
 
 
 def adaptive_complex_quad(
@@ -197,12 +226,7 @@ def _profile_values(
     full_line: bool,
     absolute: bool,
 ):
-    x, w = _gl(order)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * x[None, :]
-    y = nodes.ravel()
-    wgt = (half[:, None] * w[None, :]).ravel()
+    y, wgt = _composite(edges, order)
     out = np.zeros(len(ts), dtype=complex)
     for sign in (1.0, -1.0) if full_line else (1.0,):
         yy = sign * y
@@ -233,20 +257,17 @@ def oscillatory_profile_reference(
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     bsup = eta.support_radius()
     tmax = float(np.max(np.abs(ts))) if len(ts) else 0.0
-    wpp = _WPP
-    edges = _profile_edges(bsup, tmax, d, wpp, max_panels)
-    vals = _profile_values(ts, d, npow, eta, edges, 16, full_line, absolute)
     # error by panel-count doubling at fixed order: at 2 cycles/panel the
     # 16-point rule is already near machine accuracy, so this converges in
     # one or two rounds where an embedded low-order estimate would thrash
-    for _ in range(5):
-        wpp /= 2.0
-        edges = _profile_edges(bsup, tmax, d, wpp, max_panels)
-        fine = _profile_values(ts, d, npow, eta, edges, 16, full_line, absolute)
-        errs = np.abs(fine - vals)
-        vals = fine
-        if float(np.max(errs, initial=0.0)) <= tol or len(edges) - 1 >= max_panels:
-            break
+    def levels():
+        for k in range(6):
+            edges = _profile_edges(bsup, tmax, d, _WPP / 2**k, max_panels)
+            yield _profile_values(ts, d, npow, eta, edges, 16, full_line, absolute), 0.0
+            if k and len(edges) - 1 >= max_panels:
+                return
+
+    vals, errs, _ = _refine(levels(), tol)
     return vals, errs
 
 
@@ -272,7 +293,8 @@ _MOMENT_BLOCK = 1 << 16  # thetas per block of per-panel moments
 
 
 @lru_cache(maxsize=None)
-def _filon_basis(order: int):
+def _filon_projection(order: int):
+    """Row k maps samples at the ``order`` Gauss nodes to the degree-k Legendre coefficient."""
     from numpy.polynomial.legendre import legval
 
     s, w = _gl(order)
@@ -281,21 +303,7 @@ def _filon_basis(order: int):
         coef = np.zeros(k + 1)
         coef[k] = 1.0
         L[k] = legval(s, coef)
-    # row k of proj maps g-samples to the degree-k Legendre coefficient
-    proj = (np.arange(order)[:, None] + 0.5) * (L * w[None, :])
-    return s, w, proj
-
-
-@lru_cache(maxsize=None)
-def _unit_composite_rule(panels: int, order: int):
-    """Composite Gauss nodes/weights on [0, 1]."""
-    x, w = _gl(order)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return (np.arange(order)[:, None] + 0.5) * (L * w[None, :])
 
 
 @lru_cache(maxsize=None)
@@ -387,12 +395,8 @@ def _filon_moment_sum(ts: np.ndarray, edges: np.ndarray, coeffs: np.ndarray) -> 
 
 def _filon_integral(ts: np.ndarray, edges: np.ndarray, gfun) -> np.ndarray:
     """int e^{itu} g(u) du over the union of panels, batched over ts."""
-    s, _, proj = _filon_basis(_FILON_ORDER)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = mid[:, None] + half[:, None] * s[None, :]
-    gvals = gfun(nodes.ravel()).reshape(nodes.shape)
-    coeffs = gvals @ proj.T
+    nodes, _ = _composite(edges, _FILON_ORDER)
+    coeffs = gfun(nodes).reshape(-1, _FILON_ORDER) @ _filon_projection(_FILON_ORDER).T
     return _filon_moment_sum(ts, edges, coeffs)
 
 
@@ -406,7 +410,7 @@ def _oscillatory_head(ts: np.ndarray, d: int, npow: int, a: float) -> np.ndarray
     if np.any(small):
         # direct y-space quadrature: the integrand is smooth there and the
         # phase runs at most ~6 cycles; composite 16x24 Gauss resolves it
-        x01, w01 = _unit_composite_rule(16, 24)
+        x01, w01 = _composite(np.linspace(0.0, 1.0, 17), 24)
         nodes = a * x01
         phases = np.outer(ts[small], nodes**d)
         out[small] = a * (np.exp(1j * phases) * nodes[None, :] ** npow) @ w01
@@ -437,37 +441,25 @@ def _halfline_profile(ts: np.ndarray, d: int, npow: int, eta: CutoffFunction, to
 
     if c < 1.0:
         head = _oscillatory_head(ts, d, npow, eta.a)
-
-        def panel_edges(m):
-            return np.linspace(u0, B, m + 1)
-
     elif c == 1.0:
         head = np.empty(len(ts), dtype=complex)
         pos = ts > 0
         head[pos] = (np.exp(1j * ts[pos] * u0) - 1.0) / (1j * ts[pos]) / d
         head[~pos] = u0 / d
-
-        def panel_edges(m):
-            return np.linspace(u0, B, m + 1)
-
     else:
         head = np.zeros(len(ts), dtype=complex)
 
-        def panel_edges(m):
-            # graded toward 0: u^{c-1} has unbounded low-order derivatives there
-            graded = u0 * np.linspace(0.0, 1.0, m + 1) ** 3
-            return np.concatenate([graded[:-1], np.linspace(u0, B, m + 1)])
+    def panel_edges(m):
+        uniform = np.linspace(u0, B, m + 1)
+        if c <= 1.0:
+            return uniform
+        # graded toward 0: u^{c-1} has unbounded low-order derivatives there
+        graded = u0 * np.linspace(0.0, 1.0, m + 1) ** 3
+        return np.concatenate([graded[:-1], uniform])
 
-    vals = head + _filon_integral(ts, panel_edges(48), gfun)
-    errs = np.full(len(ts), np.inf)
-    m = 96
-    for _ in range(4):
-        fine = head + _filon_integral(ts, panel_edges(m), gfun)
-        errs = np.abs(fine - vals)
-        vals = fine
-        if float(np.max(errs, initial=0.0)) <= tol:
-            break
-        m *= 2
+    levels = ((head + _filon_integral(ts, panel_edges(m), gfun), 0.0)
+              for m in (48, 96, 192, 384, 768))
+    vals, errs, _ = _refine(levels, tol)
     return vals, errs
 
 
@@ -575,6 +567,47 @@ def _gradient_bound_1d(f: Polynomial, i: int, radius: float):
     return bound
 
 
+def _tensor_grids(f: Polynomial, radius: float, tau: float, max_panels: int):
+    """Axis edges at 2, 1, 1/2 and 1/4 wavelengths per panel, budget-checked.
+
+    The first two levels always run, so both are built and checked against
+    the panel budget before either is evaluated.  Where an axis gets the same
+    phase-resolved edges as at the level before (at small tau the grid is
+    floored at ``min_panels``), or fewer edges than its previous grid, every
+    panel of that grid is bisected instead, so that no level is compared with
+    itself or falls back to a coarser grid.
+    """
+
+    def level(wpp, prev):
+        resolved, axes = [], []
+        for i in range(f.n):
+            dens_b = _gradient_bound_1d(f, i, radius)
+            edges = phase_resolved_edges(
+                -radius, radius, lambda u: tau * dens_b(u) / (2 * pi),
+                wpp=wpp, max_panels=max_panels,
+            )
+            resolved.append(edges)
+            if prev is not None:
+                prev_resolved, prev_axis = prev[0][i], prev[1][i]
+                if np.array_equal(edges, prev_resolved) or len(edges) < len(prev_axis):
+                    edges = np.union1d(prev_axis, 0.5 * (prev_axis[1:] + prev_axis[:-1]))
+            axes.append(edges)
+        total_panels = prod(len(edges) - 1 for edges in axes)
+        if total_panels > max_panels:
+            raise QuadratureBudgetError(
+                f"tensor grid needs {total_panels} panels, budget is {max_panels}"
+            )
+        return resolved, axes
+
+    first = level(2.0, None)
+    grid = level(1.0, first)
+    yield first[1]
+    yield grid[1]
+    for wpp in (0.5, 0.25):
+        grid = level(wpp, grid)
+        yield grid[1]
+
+
 def _tensor_oscillatory(
     f: Polynomial,
     amp_fn: Callable,
@@ -583,68 +616,29 @@ def _tensor_oscillatory(
     tol: float,
     max_panels: int,
 ):
-    """Full tensor-product quadrature for n in {2, 3}; doubling error estimate."""
-    n = f.n
+    """Tensor-product Gauss quadrature on an open grid; doubling error estimate.
 
-    def axis_grid(wpp):
-        axes = []
-        for i in range(n):
-            dens_b = _gradient_bound_1d(f, i, radius)
-            edges = phase_resolved_edges(
-                -radius, radius,
-                lambda u, db=dens_b: tau * db(u) / (2 * pi),
-                wpp=wpp, max_panels=max_panels,
-            )
-            x, w = _gl(10)
-            lo, hi = edges[:-1], edges[1:]
-            half = 0.5 * (hi - lo)
-            nodes = ((0.5 * (hi + lo))[:, None] + half[:, None] * x[None, :]).ravel()
-            wgts = (half[:, None] * w[None, :]).ravel()
-            axes.append((nodes, wgts))
-        total_panels = 1
-        for nodes, _ in axes:
-            total_panels *= len(nodes) // 10
-        if total_panels > max_panels:
-            raise QuadratureBudgetError(
-                f"tensor grid needs {total_panels} panels, budget is {max_panels}"
-            )
-        return axes
+    Coordinate x_i varies along axis i only, so the phase and the amplitude
+    factors are evaluated once per node and broadcast; the trailing axes are
+    contracted with their weights, working through x1 in chunks.
+    """
 
     def evaluate(axes):
-        if n == 2:
-            (x1, w1), (x2, w2) = axes
-            acc = np.zeros(len(x1), dtype=complex)
-            chunk = max(1, int(2_000_000 // max(len(x2), 1)))
-            for i in range(0, len(x1), chunk):
-                X1 = x1[i : i + chunk][:, None]
-                X2 = x2[None, :]
-                vals = np.exp(1j * tau * f.evaluate([X1, X2])) * amp_fn(X1 + 0 * X2, X2 + 0 * X1)
-                acc[i : i + chunk] = vals @ w2
-            return complex(np.dot(acc, w1))
-        (x1, w1), (x2, w2), (x3, w3) = axes
-        total = 0.0 + 0.0j
-        for i in range(len(x1)):
-            X2 = x2[:, None]
-            X3 = x3[None, :]
-            X1 = x1[i]
-            vals = np.exp(1j * tau * f.evaluate([X1 + 0 * X2 + 0 * X3, X2 + 0 * X3, X3 + 0 * X2]))
-            vals = vals * amp_fn(X1 + 0 * X2 + 0 * X3, X2 + 0 * X3, X3 + 0 * X2)
-            total += w1[i] * np.dot(w2, vals @ w3)
-        return complex(total)
+        n = len(axes)
+        (x1, w1), *rest = [_composite(edges, 10) for edges in axes]
+        acc = np.zeros(len(x1), dtype=complex)
+        chunk = max(1, 2_000_000 // prod(len(x) for x, _ in rest))
+        for i in range(0, len(x1), chunk):
+            coords = [x1[i : i + chunk]] + [x for x, _ in rest]
+            X = [x.reshape((-1,) + (1,) * (n - 1 - k)) for k, x in enumerate(coords)]
+            vals = np.exp(1j * tau * f.evaluate(X)) * amp_fn(*X)
+            for _, w in reversed(rest):
+                vals = vals @ w
+            acc[i : i + chunk] = vals
+        return complex(np.dot(acc, w1))
 
-    wpp = 2.0
-    v_coarse = evaluate(axis_grid(wpp))
-    converged = False
-    err = np.inf
-    for _ in range(3):
-        v_fine = evaluate(axis_grid(wpp / 2))
-        err = abs(v_fine - v_coarse)
-        v_coarse = v_fine
-        if err <= tol:
-            converged = True
-            break
-        wpp /= 2.0
-    return v_coarse, float(err), converged
+    levels = ((evaluate(axes), 0.0) for axes in _tensor_grids(f, radius, tau, max_panels))
+    return _refine(levels, tol)
 
 
 def eval_oscillatory(
@@ -683,23 +677,18 @@ def eval_oscillatory(
             value = value * v
         err = 0.0
         for i in range(f.n):
-            prod = 1.0
+            others = 1.0
             for j in range(f.n):
                 if j != i:
-                    prod *= abs(values[j])
-            err += errors[i] * prod
+                    others *= abs(values[j])
+            err += errors[i] * others
         return OscillatorySample(tau=float(tau), value=complex(value),
                                  error_estimate=float(err), converged=converged)
 
-    radius = phi.cutoff.support_radius()
     if f.n == 1:
         v, e, _, conv = _axis_integral(f, phi.nu[0], phi.cutoff, tau, tol, max_panels)
         return OscillatorySample(float(tau), complex(v), float(e), conv)
-
-    def amp(*coords):
-        return phi(*coords)
-
-    v, e, conv = _tensor_oscillatory(f, amp, radius, tau, tol, max_panels)
+    v, e, conv = _tensor_oscillatory(f, phi, phi.cutoff.support_radius(), tau, tol, max_panels)
     return OscillatorySample(float(tau), complex(v), float(e), conv)
 
 
@@ -778,21 +767,16 @@ def radial_reduce(
             return vals * mono(theta)
 
         if not sign_change:
-            prev = None
-            err = np.inf
-            for m in (64, 128, 256, 512, 1024, 2048):
+            def circle_level(m):
                 thetas = np.linspace(0.0, 2 * pi, m, endpoint=False)
                 vals, perr = oscillatory_profile(
                     tau * h_fn(thetas), d, npow, eta, tol=prof_tol, max_panels=max_panels
                 )
-                total = (2 * pi / m) * np.sum(vals * mono(thetas))
-                inner_err = (2 * pi / m) * float(np.sum(perr))
-                if prev is not None:
-                    err = abs(total - prev) + inner_err
-                    if err <= tol:
-                        return OscillatorySample(float(tau), complex(total), float(err), True)
-                prev = total
-            return OscillatorySample(float(tau), complex(prev), float(err), False)
+                step = 2 * pi / m
+                return step * np.sum(vals * mono(thetas)), step * float(np.sum(perr))
+
+            v, e, conv = _refine(map(circle_level, (64, 128, 256, 512, 1024, 2048)), tol)
+            return OscillatorySample(float(tau), complex(v), float(e), conv)
 
         zeros = _sphere_zeros(hs, sample_t, h_fn)
         if not zeros:
@@ -812,9 +796,7 @@ def radial_reduce(
         return OscillatorySample(float(tau), complex(total), float(err), converged)
 
     # n == 3: product Gauss (in cos theta) x trapezoid (in phi_angle) on S^2
-    prev = None
-    err = np.inf
-    for L in (16, 32, 64, 128):
+    def sphere_level(L):
         mu, wmu = _gl(L)
         phis = np.linspace(0.0, 2 * pi, 2 * L, endpoint=False)
         st = np.sqrt(1.0 - mu**2)
@@ -832,12 +814,10 @@ def radial_reduce(
                 monoval = monoval * arr**k
         total = (2 * pi / (2 * L)) * np.dot(wmu, np.sum(vals * monoval, axis=1))
         inner_err = (2 * pi / (2 * L)) * float(np.dot(wmu, np.sum(perr.reshape(H.shape), axis=1)))
-        if prev is not None:
-            err = abs(total - prev) + inner_err
-            if err <= tol:
-                return OscillatorySample(float(tau), complex(total), float(err), True)
-        prev = total
-    return OscillatorySample(float(tau), complex(prev), float(err), False)
+        return total, inner_err
+
+    v, e, conv = _refine(map(sphere_level, (16, 32, 64, 128)), tol)
+    return OscillatorySample(float(tau), complex(v), float(e), conv)
 
 
 # ---------------------------------------------------------------------------
@@ -878,25 +858,14 @@ def chart_parity_integral(
     # oscillatory (the profile's leading phase is constant), so fixed-order
     # Gauss with panel doubling converges fast; each level is one batched
     # profile evaluation over all outer nodes
-    x, w = _gl(16)
-    prev = None
-    err = np.inf
-    for m in (8, 16, 32, 64):
-        edges = np.linspace(-lim, lim, m + 1)
-        halfw = 0.5 * (edges[1:] - edges[:-1])
-        nodes = ((0.5 * (edges[1:] + edges[:-1]))[:, None] + halfw[:, None] * x[None, :]).ravel()
-        wgts = (halfw[:, None] * w[None, :]).ravel()
+    def level(m):
+        nodes, wgts = _composite(np.linspace(-lim, lim, m + 1), 16)
         cvals = np.asarray(h.evaluate([nodes])) + np.zeros_like(nodes)
         vals, perr = oscillatory_profile(
             tau * cvals, d, 1, eta, tol=prof_tol, full_line=True,
             absolute=mode == "absolute", max_panels=max_panels,
         )
-        total = complex(np.dot(vals * theta(nodes), wgts))
-        inner_err = float(np.dot(np.abs(wgts), perr))
-        if prev is not None:
-            err = abs(total - prev) + inner_err
-        prev = total
-        conv = bool(err <= tol)
-        if conv:
-            break
-    return OscillatorySample(float(tau), complex(prev), float(err), conv)
+        return complex(np.dot(vals * theta(nodes), wgts)), float(np.dot(np.abs(wgts), perr))
+
+    v, e, conv = _refine(map(level, (8, 16, 32, 64)), tol)
+    return OscillatorySample(float(tau), complex(v), float(e), conv)

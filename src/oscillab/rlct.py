@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .nondegen import SearchOptions, check_R_nondegenerate
 from .poly import Polynomial
-from .polytope import is_convenient, newton_distance, newton_polytope
+from .polytope import NewtonPolytope, is_convenient, newton_distance, newton_polytope
 
 __all__ = [
     "ResolutionDatum",
@@ -115,13 +115,13 @@ def blowup_charts(f: Polynomial) -> List[BlowupChart]:
     ]
 
 
-def _validity_flags(f: Polynomial, nondegen_opts: Optional[SearchOptions]) -> Dict[str, bool]:
-    poly = newton_polytope(f)
+def _validity_flags(f: Polynomial, poly: NewtonPolytope,
+                    nondegen_opts: Optional[SearchOptions]) -> Dict[str, bool]:
     convenient, _ = is_convenient(poly)
     flags = {"convenient": convenient}
     flags["homogeneous"] = f.homogeneous_degree() is not None
     if nondegen_opts is not None and convenient:
-        verdict = check_R_nondegenerate(f, nondegen_opts)
+        verdict = check_R_nondegenerate(f, nondegen_opts, polytope=poly)
         flags["likely_R_nondegenerate"] = not verdict.degenerate
     return flags
 
@@ -142,7 +142,7 @@ def rlct_homogeneous(
     if not convenient:
         raise ValueError("rlct_homogeneous requires a convenient polynomial")
     value = Fraction(f.n, d)
-    flags = _validity_flags(f, nondegen_opts)
+    flags = _validity_flags(f, poly, nondegen_opts)
     flags["value_at_most_one"] = value <= 1
     return RlctReport(value=value, method="homogeneous", flags=flags)
 
@@ -150,15 +150,17 @@ def rlct_homogeneous(
 def rlct_newton_candidate(
     f: Polynomial,
     nondegen_opts: Optional[SearchOptions] = SearchOptions(starts=40),
+    polytope: Optional[NewtonPolytope] = None,
 ) -> RlctReport:
     """Candidate rlct = 1/t0 from the principal faces, with parity data.
 
     The value is a CANDIDATE: it is the reciprocal Newton distance, valid as
     the actual threshold only under nondegeneracy and further sign/parity
     hypotheses, which are reported in ``flags`` and ``parity`` for downstream
-    interpretation rather than asserted here.
+    interpretation rather than asserted here.  ``polytope`` is f's Newton
+    polytope when the caller has already built it.
     """
-    poly = newton_polytope(f)
+    poly = polytope if polytope is not None else newton_polytope(f)
     convenient, _ = is_convenient(poly)
     if not convenient:
         raise ValueError("newton candidate requires a convenient polynomial")
@@ -175,7 +177,7 @@ def rlct_newton_candidate(
         )
         for p in principal
     )
-    flags = _validity_flags(f, nondegen_opts)
+    flags = _validity_flags(f, poly, nondegen_opts)
     flags["value_at_most_one"] = value <= 1
     flags["candidate_below_one"] = value < 1
     flags["parity_condition_some_face"] = any(p.dj_even and p.rj_odd for p in parity)

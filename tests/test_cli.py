@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from oscillab import cli
 from oscillab.cli import main
 
 
@@ -217,3 +218,41 @@ def test_battery_csv_rows_match_header(capsys):
     for row in rows:
         assert len(row) == len(header)
         assert row[label] == f"{row[header.index('phase')]} | nu={row[header.index('nu')]}"
+
+
+def test_config_value_outside_choices_is_usage_error(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("phase = x1^4 + x2^4\nformat = xml\n")
+    code, out, err = run(capsys, "oscillate", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert ":2:" in err and "xml" in err and "--format" in err
+
+    def no_lab(*args, **kwargs):
+        raise AssertionError("the lab ran before the config was validated")
+
+    monkeypatch.setattr(cli, "run_theorem3_lab", no_lab)
+    code, out, err = run(capsys, "theorem3-lab", "--config", str(cfg))
+    assert code == 1
+    assert out == "" and ":2:" in err
+
+
+def test_config_value_of_wrong_type_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("phase = x1^2 + x2^2\ntau_count = many\n")
+    code, out, err = run(capsys, "oscillate", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert ":2:" in err and "--tau-count" in err
+
+
+def test_oscillate_markdown_output(capsys, tmp_path):
+    outdir = tmp_path / "md"
+    code, out, _ = run(capsys, "oscillate", "--phase", "x1^2 + x2^2", "--dim", "2",
+                       "--tau-min", "100", "--tau-max", "1000", "--tau-count", "8",
+                       "--format", "md", "--out", str(outdir))
+    assert code == 0
+    assert out.startswith("# oscillate")
+    assert "- phase: x1^2 + x2^2" in out
+    assert (outdir / "samples.md").read_text() == out
+    assert not (outdir / "samples.csv").exists()

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import spherical_jn
 
 from oscillab.bump import SymmetricCutoff, TestFunction, make_cutoff
-from oscillab.poly import parse
+from oscillab.poly import Polynomial, parse
 from oscillab.quad import (
     QuadratureBudgetError,
     adaptive_complex_quad,
@@ -222,6 +222,57 @@ def test_budget_error():
     phi = TestFunction(nu=(0,), cutoff=ETA)
     with pytest.raises(QuadratureBudgetError):
         eval_oscillatory(f, phi, 1.0e9, tol=1e-10, max_panels=64)
+
+
+def test_tensor_budget_is_checked_before_any_evaluation(monkeypatch):
+    # at tau = 300 the wpp = 2 grid fits the budget and the wpp = 1 grid does
+    # not; both levels always run, so the error must come before either
+    f = parse("x2^2 - x1*x2 + x1^4", 2)
+    phi = TestFunction(nu=(0, 0), cutoff=ETA)
+
+    def no_evaluation(self, point):
+        raise AssertionError("phase evaluated before the budget check")
+
+    monkeypatch.setattr(Polynomial, "evaluate", no_evaluation)
+    with pytest.raises(QuadratureBudgetError, match="tensor grid needs 1476090 panels"):
+        eval_oscillatory(f, phi, 300.0, tol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "phase,n,tau,tol",
+    [("x1^2 - x1*x2 + x2^2", 2, tau, 1e-8) for tau in (0.5, 1.0, 2.0, 5.0)]
+    + [("x1^2 + x2^2 + x3^2", 3, 5.0, 1e-6)],
+)
+def test_tensor_error_estimate_covers_gap_at_small_tau(phase, n, tau, tol):
+    # at small tau the phase-resolved grid is floored at min_panels, so two
+    # levels can get the same edges; the estimate must still measure something
+    f = parse(phase, n)
+    phi = TestFunction(nu=(0,) * n, cutoff=ETA, shape="radial")
+    s = eval_oscillatory(f, phi, tau, tol=tol)
+    ref = radial_reduce(f, phi, tau, tol=1e-11)
+    assert s.converged
+    assert s.error_estimate >= abs(s.value - ref.value) > 0.0
+
+
+def test_tensor_n3_matches_radial_reduction():
+    f = parse("x1^2 + x2^2 + x3^2", 3)
+    phi = TestFunction(nu=(0, 0, 0), cutoff=ETA, shape="radial")
+    tol = 1e-6
+    s = eval_oscillatory(f, phi, 10.0, tol=tol)
+    ref = radial_reduce(f, phi, 10.0, tol=1e-10)
+    assert s.converged and ref.converged
+    assert abs(s.value - ref.value) <= tol
+
+
+def test_tensor_n3_mixed_phase_matches_recorded_value():
+    # recorded with a per-x1-slice contraction of the same grids; the open-grid
+    # evaluator sums in another order, so it must agree to roundoff only
+    f = parse("x1^2 + x1*x2 + x2^2 + x3^2", 3)
+    phi = TestFunction(nu=(0, 0, 0), cutoff=ETA)
+    s = eval_oscillatory(f, phi, 8.0, tol=1e-6)
+    recorded = -0.20336909964963257 + 0.19420117433051717j
+    assert s.converged
+    assert abs(s.value - recorded) <= 1e-14 * abs(recorded)
 
 
 def test_radial_reduce_validation():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oscillab import polytope
 from oscillab.poly import parse
 from oscillab.rlct import (
     ResolutionDatum,
@@ -111,3 +112,19 @@ def test_report_json_shape():
     assert set(d) == {"value", "method", "flags", "parity"}
     assert d["value"] == "1/2"
     assert d["parity"][0] == {"dj": 4, "rj": 2, "dj_even": True, "rj_odd": False}
+
+
+@pytest.mark.parametrize("route", [rlct_newton_candidate, rlct_homogeneous])
+def test_polytope_built_once_per_call(route, monkeypatch):
+    # the nondegeneracy search and the validity flags reuse the caller's polytope
+    calls = []
+    real = polytope.build_polytope
+
+    def counting(support):
+        calls.append(support)
+        return real(support)
+
+    monkeypatch.setattr(polytope, "build_polytope", counting)
+    rep = route(parse("x1^4 + x2^4", 2), FAST)
+    assert "likely_R_nondegenerate" in rep.flags
+    assert len(calls) == 1
