@@ -193,25 +193,19 @@ def _diagonal_oracle(f: Polynomial, nu: Tuple[int, ...]):
     2 * (1/d) Gamma(b/d) e^{i pi b/(2d)} c^{-b/d} with b = nu_i + 1, so the
     product is an independent check on fitted coefficients.
     """
-    degs, coeffs = [], []
-    for i in range(f.n):
-        axis_terms = {
-            exp[i]: c for exp, c in f.terms.items() if sum(exp) == exp[i] and exp[i] > 0
-        }
-        if len(axis_terms) != 1 or len(f.terms) != f.n:
-            return None
-        (di, ci), = axis_terms.items()
-        if di % 2 or ci <= 0:
-            return None
-        degs.append(di)
-        coeffs.append(float(ci))
+    parts = f.axis_parts()
+    if parts is None or parts[1] != 0 or any(len(p.terms) != 1 for p in parts[0]):
+        return None
     coeff = 1.0 + 0.0j
     alpha = 0.0
-    for i, (di, ci) in enumerate(zip(degs, coeffs)):
-        b = nu[i] + 1
+    for p, k in zip(parts[0], nu):
+        (((di,), ci),) = p.terms.items()
+        if di % 2 or ci <= 0:
+            return None
+        b = k + 1
         if b % 2 == 0:
             return None  # odd axis integrand: leading term cancels on the full line
-        coeff = coeff * 2.0 * erdelyi_leading(b, di, ci, 1.0)
+        coeff = coeff * 2.0 * erdelyi_leading(b, di, float(ci), 1.0)
         alpha -= b / di
     return {"alpha": alpha, "coeff": [float(coeff.real), float(coeff.imag)]}
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Polynomial",
@@ -158,6 +158,23 @@ class Polynomial:
         if len(degs) == 1:
             return degs.pop()
         return None
+
+    def axis_parts(self) -> Optional[Tuple[List["Polynomial"], Fraction]]:
+        """Univariate parts p_i and constant c with f = c + sum_i p_i(x_i).
+
+        Returns None when some term mixes two variables.
+        """
+        parts = [{} for _ in range(self.n)]
+        const = Fraction(0)
+        for exp, c in self.terms.items():
+            nz = [i for i, e in enumerate(exp) if e]
+            if len(nz) > 1:
+                return None
+            if nz:
+                parts[nz[0]][(exp[nz[0]],)] = c
+            else:
+                const = c
+        return [Polynomial(1, p) for p in parts], const
 
     # -- calculus ----------------------------------------------------------
 

@@ -5,6 +5,7 @@ shifted orthants nu + R_{>=0}^n over nu in S.  Its H-description is
 {nu >= 0 : l_j(nu) >= 1 for all facets j} where each l_j has nonnegative
 rational weights; facets are found by brute force over subsets of support
 points and coordinate directions, which is exact and adequate at desk scale.
+Faces are read off the facet-generator incidences.
 """
 
 from __future__ import annotations
@@ -206,42 +207,33 @@ def compact_faces(p: NewtonPolytope) -> List[FaceDescriptor]:
     if not p.facets:
         return [FaceDescriptor(weights=tuple([Fraction(1)] * n),
                                generators=(tuple([0] * n),), dim=0)]
-    faces = {}
-    gens = list(p.generators)
-    nf = len(p.facets)
-    for jmask in range(1, 1 << nf):
-        jj = [p.facets[j] for j in range(nf) if jmask >> j & 1]
-        for imask in range(1 << n):
-            ii = [i for i in range(n) if imask >> i & 1]
-            vset = tuple(
-                g for g in gens
-                if all(f(g) == 1 for f in jj) and all(g[i] == 0 for i in ii)
-            )
-            if not vset or vset in faces:
-                continue
-            # canonical active sets of the face spanned by vset
-            jstar = [f for f in p.facets if all(f(v) == 1 for v in vset)]
-            istar = [i for i in range(n) if all(v[i] == 0 for v in vset)]
-            # recession directions: coordinate rays lying in every active facet
-            recession = [
-                k for k in range(n)
-                if k not in istar and all(f.weights[k] == 0 for f in jstar)
-            ]
-            if recession:
-                continue
-            w = [Fraction(0)] * n
-            for f in jstar:
-                for k in range(n):
-                    w[k] += f.weights[k]
-            for i in istar:
-                w[i] += 1
-            m = Fraction(len(jstar))
-            w = tuple(x / m for x in w)
-            base = vset[0]
-            span = [[Fraction(vi - bi) for vi, bi in zip(v, base)] for v in vset[1:]]
-            dim = rank_exact(span) if span else 0
-            faces[vset] = FaceDescriptor(weights=w, generators=vset, dim=dim)
-    return sorted(faces.values(), key=lambda f: (f.dim, f.generators))
+    # every face's generator set is an intersection of facet incidence sets,
+    # possibly cut by coordinate hyperplanes (Kaibel & Pfetsch 2002)
+    gens = p.generators
+    on_facet = [frozenset(k for k, g in enumerate(gens) if f(g) == 1) for f in p.facets]
+    on_axis = [frozenset(k for k, g in enumerate(gens) if g[i] == 0) for i in range(n)]
+    seen = set(on_facet)
+    work = list(seen)
+    while work:
+        s = work.pop()
+        for t in on_facet + on_axis:
+            if (u := s & t) and u not in seen:
+                seen.add(u)
+                work.append(u)
+    faces = []
+    for s in seen:
+        jstar = [f for f, t in zip(p.facets, on_facet) if s <= t]
+        istar = [i for i, t in enumerate(on_axis) if s <= t]
+        # a coordinate ray lying in every active facet makes the face unbounded
+        if any(i not in istar and all(f.weights[i] == 0 for f in jstar) for i in range(n)):
+            continue
+        w = tuple((sum(f.weights[i] for f in jstar) + int(i in istar)) / len(jstar)
+                  for i in range(n))
+        vset = tuple(gens[k] for k in sorted(s))
+        span = [[Fraction(vi - bi) for vi, bi in zip(v, vset[0])] for v in vset[1:]]
+        faces.append(FaceDescriptor(weights=w, generators=vset,
+                                    dim=rank_exact(span) if span else 0))
+    return sorted(faces, key=lambda f: (f.dim, f.generators))
 
 
 def newton_distance(p: NewtonPolytope):

@@ -471,18 +471,18 @@ def oscillatory_profile(
     tol: float = 1e-10,
     full_line: bool = False,
     absolute: bool = False,
-    max_panels: int = DEFAULT_MAX_PANELS,
 ):
     """Batched P(t) = int exp(i t y^d) w(y) eta(y) dy with error estimates.
 
     ``w`` is y^npow over [0, b]; with ``full_line`` the domain is [-b, b] and
     ``absolute`` selects |y|^npow over y^npow.  Negative t are handled by
     conjugation, the negative half-line by parity, so only t >= 0 half-line
-    profiles are ever computed.
+    profiles are ever computed; the full line doubles the half-line error,
+    so the half-line is refined to tol / 2 there.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     neg = ts < 0
-    base, errs = _halfline_profile(np.abs(ts), d, npow, eta, tol)
+    base, errs = _halfline_profile(np.abs(ts), d, npow, eta, tol / 2 if full_line else tol)
     base = np.where(neg, np.conj(base), base)
     if not full_line:
         return base, errs
@@ -497,25 +497,6 @@ def oscillatory_profile(
 # ---------------------------------------------------------------------------
 
 
-def _univariate_parts(f: Polynomial):
-    """Split an additively separable f into per-axis 1-d polynomials + constant.
-
-    Returns (parts, const) or None when f has a genuinely mixed term.
-    """
-    parts = [dict() for _ in range(f.n)]
-    const = 0.0
-    for exp, c in f.terms.items():
-        nz = [i for i, e in enumerate(exp) if e != 0]
-        if len(nz) == 0:
-            const += float(c)
-        elif len(nz) == 1:
-            i = nz[0]
-            parts[i][(exp[i],)] = c
-        else:
-            return None
-    return [Polynomial(1, p) if p else Polynomial.zero(1) for p in parts], const
-
-
 def _axis_integral(
     poly1d: Polynomial,
     power: int,
@@ -528,10 +509,8 @@ def _axis_integral(
     if len(poly1d.terms) == 1:
         # pure-power phase: the Filon profile evaluator is tau-independent
         ((dexp,), coeff), = poly1d.terms.items()
-        vals, errs = oscillatory_profile(
-            [tau * float(coeff)], dexp, power, eta,
-            tol=tol, full_line=True, absolute=False, max_panels=max_panels,
-        )
+        vals, errs = oscillatory_profile([tau * float(coeff)], dexp, power, eta, tol=tol,
+                                         full_line=True, absolute=False)
         return complex(vals[0]), float(errs[0]), 0, bool(errs[0] <= tol)
     dp = poly1d.partial(1)
 
@@ -661,7 +640,7 @@ def eval_oscillatory(
     if tau < 0 or tol <= 0:
         raise ValueError("require tau >= 0 and tol > 0")
 
-    parts = _univariate_parts(f)
+    parts = f.axis_parts()
     if parts is not None and phi.shape == "product":
         polys, const = parts
         values, errors, converged = [], [], True
@@ -672,7 +651,7 @@ def eval_oscillatory(
             values.append(v)
             errors.append(e)
             converged = converged and conv
-        value = np.exp(1j * tau * const)
+        value = np.exp(1j * tau * float(const))
         for v in values:
             value = value * v
         err = 0.0
@@ -761,17 +740,13 @@ def radial_reduce(
         sign_change = bool(np.any(hs[:-1] * hs[1:] < 0))
 
         def integrand(theta):
-            vals, errs = oscillatory_profile(
-                tau * h_fn(theta), d, npow, eta, tol=prof_tol, max_panels=max_panels
-            )
+            vals, _ = oscillatory_profile(tau * h_fn(theta), d, npow, eta, tol=prof_tol)
             return vals * mono(theta)
 
         if not sign_change:
             def circle_level(m):
                 thetas = np.linspace(0.0, 2 * pi, m, endpoint=False)
-                vals, perr = oscillatory_profile(
-                    tau * h_fn(thetas), d, npow, eta, tol=prof_tol, max_panels=max_panels
-                )
+                vals, perr = oscillatory_profile(tau * h_fn(thetas), d, npow, eta, tol=prof_tol)
                 step = 2 * pi / m
                 return step * np.sum(vals * mono(thetas)), step * float(np.sum(perr))
 
@@ -804,9 +779,7 @@ def radial_reduce(
         Y = st[:, None] * np.sin(phis)[None, :]
         Z = mu[:, None] + 0.0 * X
         H = f.evaluate([X, Y, Z])
-        vals, perr = oscillatory_profile(
-            tau * H.ravel(), d, npow, eta, tol=prof_tol, max_panels=max_panels
-        )
+        vals, perr = oscillatory_profile(tau * H.ravel(), d, npow, eta, tol=prof_tol)
         vals = vals.reshape(H.shape)
         monoval = np.ones_like(H)
         for arr, k in zip((X, Y, Z), phi.nu):
@@ -835,7 +808,6 @@ def chart_parity_integral(
     tol: float = 1e-10,
     eta: Optional[CutoffFunction] = None,
     eps: float = 0.25,
-    max_panels: int = DEFAULT_MAX_PANELS,
 ) -> OscillatorySample:
     """Chart integral int int exp(i tau y^d h(yhat)) w(y) eta(y) theta(yhat) dy dyhat.
 
@@ -861,10 +833,8 @@ def chart_parity_integral(
     def level(m):
         nodes, wgts = _composite(np.linspace(-lim, lim, m + 1), 16)
         cvals = np.asarray(h.evaluate([nodes])) + np.zeros_like(nodes)
-        vals, perr = oscillatory_profile(
-            tau * cvals, d, 1, eta, tol=prof_tol, full_line=True,
-            absolute=mode == "absolute", max_panels=max_panels,
-        )
+        vals, perr = oscillatory_profile(tau * cvals, d, 1, eta, tol=prof_tol, full_line=True,
+                                         absolute=mode == "absolute")
         return complex(np.dot(vals * theta(nodes), wgts)), float(np.dot(np.abs(wgts), perr))
 
     v, e, conv = _refine(map(level, (8, 16, 32, 64)), tol)

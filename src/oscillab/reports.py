@@ -105,7 +105,7 @@ def _fmt_value(v) -> str:
 
 
 def markdown_summary(report: Mapping) -> str:
-    """One-page summary: config block, key numbers, one verdict line per claim."""
+    """One-page summary: config block, key numbers, sample table, one verdict line per claim."""
     lines = [f"# {report.get('kind', 'report')}", ""]
     if "config" in report:
         lines.append("## configuration")
@@ -132,6 +132,15 @@ def markdown_summary(report: Mapping) -> str:
             status = row.get("status", "")
             label = row.get("label", row.get("phase", "?"))
             lines.append(f"- {label}: {status}")
+        lines.append("")
+    if "samples" in report:
+        cols = SAMPLE_COLUMNS + ("converged",)
+        lines.append("## samples")
+        lines.append("")
+        lines.append("| " + " | ".join(cols) + " |")
+        lines.append("|" + "---|" * len(cols))
+        for row in report["samples"]:
+            lines.append("| " + " | ".join(_fmt_value(row[k]) for k in cols) + " |")
         lines.append("")
     if "claims" in report:
         lines.append("## claims")

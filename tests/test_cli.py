@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from itertools import takewhile
 
 import pytest
 
@@ -244,6 +245,26 @@ def test_config_value_of_wrong_type_is_usage_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert ":2:" in err and "--tau-count" in err
+
+
+def test_markdown_lists_the_samples(capsys, tmp_path):
+    args = ["oscillate", "--phase", "x1^2 + x2^2", "--dim", "2", "--shape", "radial",
+            "--tau-min", "10", "--tau-max", "20", "--tau-count", "8"]
+    code, md, _ = run(capsys, *args, "--format", "md")
+    assert code == 0
+    lines = md.splitlines()
+    header = lines.index("| tau | re | im | abs | err | converged |")
+    rows = list(takewhile(lambda line: line.startswith("|"), lines[header + 2 :]))
+    assert len(rows) == 8
+    assert rows[0].startswith("| 10 | ") and rows[-1].startswith("| 20 | ")
+    assert all(r.endswith(" | yes |") and r.count("|") == 7 for r in rows)
+    # the same table from the JSON report
+    code, text, _ = run(capsys, *args, "--format", "json")
+    src = tmp_path / "samples.json"
+    src.write_text(text)
+    code, out, _ = run(capsys, "report", "--input", str(src), "--format", "md")
+    assert code == 0
+    assert out == md
 
 
 def test_oscillate_markdown_output(capsys, tmp_path):

@@ -88,6 +88,14 @@ def test_restrict_to_weights():
         p.restrict_to_weights([Fraction(1), Fraction(1)], 1)  # terms below level
 
 
+def test_axis_parts():
+    parts, const = parse("3*x1^2 - x1^4 + 2/3 + 5*x3", 3).axis_parts()
+    assert parts == [parse("3*x1^2 - x1^4", 1), Polynomial.zero(1), parse("5*x1", 1)]
+    assert const == Fraction(2, 3)
+    assert parse("x1^2 + x2^2", 2).axis_parts()[1] == 0
+    assert parse("x1^2 + x1*x2 + x2^4", 2).axis_parts() is None
+
+
 def test_substitute_one():
     p = parse("x1^4 + x2^4", 2)
     assert p.substitute_one(1) == parse("1 + x1^4", 1)

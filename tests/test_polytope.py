@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscillab.poly import parse
+from oscillab.linalg import rank_exact
 from oscillab.polytope import (
+    FaceDescriptor,
     build_polytope,
     compact_faces,
     is_convenient,
@@ -178,6 +180,78 @@ def test_build_is_idempotent_on_generators(support):
     q = build_polytope(p.generators)
     assert q.generators == p.generators
     assert q.facets == p.facets
+
+
+def _mask_faces(p):
+    """Compact faces by trying every subset of facets and coordinate hyperplanes.
+
+    The enumeration ``compact_faces`` used before it read faces off the
+    incidence sets; it costs 2^(facets + n) and is kept only as an oracle.
+    """
+    faces = {}
+    gens = list(p.generators)
+    n, nf = p.n, len(p.facets)
+    for jmask in range(1, 1 << nf):
+        jj = [p.facets[j] for j in range(nf) if jmask >> j & 1]
+        for imask in range(1 << n):
+            ii = [i for i in range(n) if imask >> i & 1]
+            vset = tuple(
+                g for g in gens
+                if all(f(g) == 1 for f in jj) and all(g[i] == 0 for i in ii)
+            )
+            if not vset or vset in faces:
+                continue
+            jstar = [f for f in p.facets if all(f(v) == 1 for v in vset)]
+            istar = [i for i in range(n) if all(v[i] == 0 for v in vset)]
+            if any(k not in istar and all(f.weights[k] == 0 for f in jstar)
+                   for k in range(n)):
+                continue
+            w = [F(0)] * n
+            for f in jstar:
+                for k in range(n):
+                    w[k] += f.weights[k]
+            for i in istar:
+                w[i] += 1
+            w = tuple(x / F(len(jstar)) for x in w)
+            span = [[F(vi - bi) for vi, bi in zip(v, vset[0])] for v in vset[1:]]
+            faces[vset] = FaceDescriptor(weights=w, generators=vset,
+                                         dim=rank_exact(span) if span else 0)
+    return sorted(faces.values(), key=lambda f: (f.dim, f.generators))
+
+
+@st.composite
+def convenient_supports(draw):
+    n = draw(st.integers(2, 4))
+    pure = [
+        tuple(draw(st.integers(4, 8)) if j == i else 0 for j in range(n))
+        for i in range(n)
+    ]
+    # small mixed points cut the simplex of the pure powers into several facets
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=5))
+    return pure + [e for e in extra if any(e)]
+
+
+@given(convenient_supports())
+@settings(max_examples=60, deadline=None)
+def test_compact_faces_match_mask_enumeration(support):
+    p = build_polytope(support)
+    assert compact_faces(p) == _mask_faces(p)
+
+
+def test_compact_faces_of_a_24_facet_chain():
+    # 24 primitive edges (1, -k) with distinct slopes: a convex polygon whose
+    # mask enumeration would try 2^24 x 4 subsets
+    pts, y = [(0, 300)], 300
+    for x, k in enumerate(range(24, 0, -1), start=1):
+        y -= k
+        pts.append((x, y))
+    p = build_polytope(pts)
+    assert len(p.facets) == 24
+    faces = compact_faces(p)
+    assert len(faces) == 49
+    assert sum(f.dim == 1 for f in faces) == 24
+    assert sum(f.dim == 0 for f in faces) == 25
+    assert {f.generators for f in faces if f.dim == 0} == {(g,) for g in pts}
 
 
 def test_json_shape():

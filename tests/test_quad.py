@@ -5,6 +5,7 @@ import pytest
 from scipy.special import spherical_jn
 
 from oscillab.bump import SymmetricCutoff, TestFunction, make_cutoff
+from oscillab.fit import geometric_grid
 from oscillab.poly import Polynomial, parse
 from oscillab.quad import (
     QuadratureBudgetError,
@@ -187,6 +188,16 @@ def test_separable_with_monomial_amplitude():
     phi = TestFunction(nu=(1, 0), cutoff=ETA, shape="product")
     s = eval_oscillatory(f, phi, 500.0, tol=1e-12)
     assert s.value == 0.0
+
+
+def test_separable_pure_powers_converge_at_the_full_line_error():
+    # each axis is a full-line profile whose error is twice the half-line's;
+    # the half-line must be refined to half the axis tolerance
+    f = parse("x1^6 + x2^6", 2)
+    phi = TestFunction(nu=(0, 0), cutoff=ETA, shape="product")
+    for tau in geometric_grid(1e2, 1e4, 24):
+        s = eval_oscillatory(f, phi, float(tau), tol=1e-10)
+        assert s.converged, tau
 
 
 def test_radial_reduction_agrees_with_tensor_quadrature():
