@@ -16,6 +16,7 @@ __all__ = [
     "Polynomial",
     "ParseError",
     "parse",
+    "real_roots",
 ]
 
 Exponent = tuple  # tuple[int, ...]
@@ -275,6 +276,113 @@ class Polynomial:
         return " ".join(pieces)
 
     __repr__ = __str__
+
+
+# ---------------------------------------------------------------------------
+# Exact real roots of univariate polynomials
+#
+# Dense coefficient lists run lowest degree first, over Fraction, with no
+# trailing zeros.  The squarefree part q = p / gcd(p, p') has the distinct
+# roots of p as simple roots, and with V(x) the number of sign changes of the
+# Sturm sequence q, q', -rem(q, q'), ... at x, q has V(a) - V(b) roots in
+# (a, b].
+# ---------------------------------------------------------------------------
+
+
+def _divmod(a: list, b: list):
+    """Quotient and remainder of dense a by nonzero dense b."""
+    a = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        k = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        quot[shift] = k
+        for i, c in enumerate(b):
+            a[shift + i] -= k * c
+        while a and a[-1] == 0:
+            a.pop()
+    return quot, a
+
+
+def _derivative(a: list) -> list:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _horner(a: list, x: Fraction) -> Fraction:
+    v = Fraction(0)
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _sign_changes(seq: list, x: Fraction) -> int:
+    signs = [v > 0 for v in (_horner(s, x) for s in seq) if v != 0]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def real_roots(p: Polynomial, lo=None, hi=None) -> List[float]:
+    """Distinct real roots of a univariate ``p`` in [lo, hi], ascending, as floats.
+
+    Without bounds the whole line is searched.  The roots of the squarefree
+    part are isolated by Sturm counts over Fraction and each is bisected
+    exactly until its bracket is below float resolution.
+    """
+    if p.n != 1:
+        raise ValueError("real_roots needs a univariate polynomial")
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no isolated roots")
+    coeffs = [Fraction(0)] * (max(e for (e,) in p.terms) + 1)
+    for (e,), c in p.terms.items():
+        coeffs[e] = c
+    gcd, rem = coeffs, _derivative(coeffs)
+    while rem:
+        gcd, rem = rem, _divmod(gcd, rem)[1]
+    q = _divmod(coeffs, gcd)[0]
+    # Cauchy: every root has |x| < 1 + max |q_i / q_top|
+    bound = 1 + max(abs(c / q[-1]) for c in q)
+    lo = -bound if lo is None else _as_fraction(lo)
+    hi = bound if hi is None else _as_fraction(hi)
+    if lo > hi:
+        raise ValueError("empty interval")
+    roots = []
+    if q[0] == 0:
+        # a simple root at 0; deflate it so every bracket below shrinks
+        # towards a nonzero root in relative terms
+        q = q[1:]
+        if lo <= 0 <= hi:
+            roots.append(Fraction(0))
+    if len(q) == 1:
+        return [float(r) for r in roots]
+    seq = [q, _derivative(q)]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in _divmod(seq[-2], seq[-1])[1]])
+    if _horner(q, lo) == 0:
+        roots.append(lo)
+    stack = [(lo, hi)]
+    while stack:
+        a, b = stack.pop()
+        count = _sign_changes(seq, a) - _sign_changes(seq, b)
+        if count > 1:
+            mid = (a + b) / 2
+            stack += [(a, mid), (mid, b)]
+        elif count == 1:
+            # one simple root in (a, b]: q has the sign of q(b) right of it
+            qb = _horner(q, b)
+            if qb == 0:
+                roots.append(b)
+                continue
+            right = qb > 0
+            while b - a > max(abs(a), abs(b)) / 2**54:
+                mid = (a + b) / 2
+                v = _horner(q, mid)
+                if v == 0:
+                    a = b = mid
+                elif (v > 0) == right:
+                    b = mid
+                else:
+                    a = mid
+            roots.append((a + b) / 2)
+    return sorted(float(r) for r in roots)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,31 @@
-"""Oscillation-resolved Gauss-Legendre quadrature for e^{i tau f(x)} amplitudes.
+"""Oscillatory quadrature for e^{i tau f(x)} amplitudes.
 
-Strategy: panels are sized so each holds a bounded number of oscillation
-wavelengths (from a bound on the local phase derivative), values use a
-high-order Gauss rule per panel, and error estimates come from an embedded
-lower-order rule.  Estimates are heuristic diagnostics, not certified bounds.
-All accumulation orders are deterministic, so results are reproducible.
+Separable phases reduce to one-dimensional axis integrals, which Filon-type
+rules evaluate at a cost that does not grow with tau: pure powers through the
+batched profile ``oscillatory_profile``, every other axis polynomial through
+the substitution w = |p(x) - p(x0)| on its monotone pieces.  Other phases go
+to tensor-product Gauss grids whose panels each hold a bounded number of
+oscillation wavelengths.  Error estimates compare successive refinement
+levels (``_refine``); only ``adaptive_complex_quad``, whose one caller is
+``radial_reduce`` on arcs where the sphere profile changes sign, still uses
+an embedded lower-order rule.  Estimates are heuristic diagnostics, not
+certified bounds.  All accumulation orders are deterministic, so results are
+reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gamma, pi, prod
+from math import ceil, comb, gamma, pi, prod
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .bump import CutoffFunction, TestFunction
-from .poly import Polynomial
+from .poly import Polynomial, real_roots
 
 __all__ = [
     "OscillatorySample",
@@ -290,6 +298,8 @@ _FILON_ORDER = 12
 _MOMENT_SWITCH = 16.0  # upward recurrence above it needs _FILON_ORDER <= 16
 _MOMENT_NODES = 40
 _MOMENT_BLOCK = 1 << 16  # thetas per block of per-panel moments
+_HEAD_PHASE = 40.0  # phase run below which a head is integrated in y or x space
+_LEVELS = (48, 96, 192, 384, 768)  # Filon panels per grid, doubled level by level
 
 
 @lru_cache(maxsize=None)
@@ -406,7 +416,7 @@ def _oscillatory_head(ts: np.ndarray, d: int, npow: int, a: float) -> np.ndarray
     u0 = a**d
     X = ts * u0
     out = np.empty(len(ts), dtype=complex)
-    small = X < 40.0
+    small = X < _HEAD_PHASE
     if np.any(small):
         # direct y-space quadrature: the integrand is smooth there and the
         # phase runs at most ~6 cycles; composite 16x24 Gauss resolves it
@@ -457,8 +467,7 @@ def _halfline_profile(ts: np.ndarray, d: int, npow: int, eta: CutoffFunction, to
         graded = u0 * np.linspace(0.0, 1.0, m + 1) ** 3
         return np.concatenate([graded[:-1], uniform])
 
-    levels = ((head + _filon_integral(ts, panel_edges(m), gfun), 0.0)
-              for m in (48, 96, 192, 384, 768))
+    levels = ((head + _filon_integral(ts, panel_edges(m), gfun), 0.0) for m in _LEVELS)
     vals, errs, _ = _refine(levels, tol)
     return vals, errs
 
@@ -494,7 +503,141 @@ def oscillatory_profile(
 
 # ---------------------------------------------------------------------------
 # I(tau, phi) = int exp(i tau f) phi dx
+#
+# Axis polynomials other than a pure power go through one more Filon route.
+# Each monotone piece of p, started at its critical end x0, is parametrized
+# by s = |x - x0| and w = q(s) = |p(x) - p(x0)|, so that its integral is
+#   e^{i tau p(x0)} int e^{+-i tau w} G(w) dw,   G = g(x(w)) / |p'(x(w))|,
+# with g = x^power eta.  G blows up like w^{1/k - 1} at a critical point of
+# order k, so the head tau w <= _HEAD_PHASE is integrated in x space; the
+# rest goes to the Filon evaluator on geometric panels away from the head,
+# united with uniform panels.  A decreasing piece is the conjugate of an
+# increasing one, and an even p needs only [0, b].
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Segment:
+    x0: float         # start of the segment: its critical end, if it has one
+    direction: float  # +1 or -1: x = x0 + direction * s
+    length: float     # s runs over [0, length]
+    p0: float         # p(x0)
+    sign: float       # sign of p(x) - p(x0) on the segment
+    q: np.ndarray     # power-series coefficients of q(s) = |p(x) - p(x0)|
+    rise: float       # q(length)
+
+
+def _segment(p: Polynomial, x0: float, x1: float) -> _Segment:
+    """The segment from x0 to x1, with q shifted to x0 exactly over Fraction."""
+    X, D = Fraction(x0), 1 if x1 > x0 else -1
+    c = [Fraction(0)] * (max((e for (e,) in p.terms), default=0) + 1)
+    for (j,), a in p.terms.items():
+        for k in range(j + 1):
+            c[k] += a * comb(j, k) * X ** (j - k) * D**k
+    S = abs(x1 - x0)
+    sign = -1.0 if sum(ck * Fraction(S) ** k for k, ck in enumerate(c) if k) < 0 else 1.0
+    q = np.array([0.0] + [sign * float(ck) for ck in c[1:]])
+    return _Segment(x0, float(D), S, float(c[0]), sign, q, float(polyval(S, q)))
+
+
+@lru_cache(maxsize=None)
+def _axis_segments(p: Polynomial, b: float):
+    """(even, segments) of p on [0, b] when p is even, else on [-b, b].
+
+    Interior critical points are the exact real roots of p'; a piece with
+    critical points at both ends is split at its midpoint.
+    """
+    even = all(e % 2 == 0 for (e,) in p.terms)
+    dp = p.partial(1)
+    crit = set() if dp.is_zero() else {r for r in real_roots(dp, -b, b) if -b < r < b}
+    points = sorted({0.0 if even else -b, b} | {r for r in crit if not even or r >= 0})
+    segments = []
+    for u, v in zip(points, points[1:]):
+        if u in crit and v in crit:
+            segments += [_segment(p, u, 0.5 * (u + v)), _segment(p, v, 0.5 * (u + v))]
+        elif v in crit:
+            segments.append(_segment(p, v, u))
+        else:
+            segments.append(_segment(p, u, v))
+    return even, tuple(segments)
+
+
+def _invert(q: np.ndarray, w: np.ndarray, length: float) -> np.ndarray:
+    """s in [0, length] with q(s) = w for increasing q: Newton safeguarded by bisection."""
+    dq = q[1:] * np.arange(1, len(q))
+    table = length * np.linspace(0.0, 1.0, 257) ** 2
+    s = np.interp(w, np.maximum.accumulate(polyval(table, q)), table)
+    lo, hi = np.zeros_like(w), np.full_like(w, length)
+    for _ in range(100):
+        r = polyval(s, q) - w
+        lo = np.where(r < 0, s, lo)
+        hi = np.where(r > 0, s, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = s - r / polyval(s, dq)
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        new = np.where(r == 0, s, new)
+        step = np.max(np.abs(new - s), initial=0.0)
+        s = new
+        if step <= 1e-14 * length:
+            break
+    return s
+
+
+def _axis_filon(p: Polynomial, power: int, eta: CutoffFunction, tau: float, tol: float,
+                max_panels: int):
+    """int_{-b}^{b} e^{i tau p(x)} x^power eta(x) dx for any p, at a cost independent of tau.
+
+    Levels double the head and Filon panels together and stop by ``_refine``;
+    the levels that fit ``max_panels`` run, and at least two must fit.
+    """
+    even, segments = _axis_segments(p, eta.support_radius())
+    if even and power % 2:
+        return 0j, 0.0, True
+
+    def amp(x):
+        return (x**power if power else 1.0) * eta(x)
+
+    delta = _HEAD_PHASE / tau if tau > 0 else np.inf
+    heads = [seg.length if delta >= seg.rise else _invert(seg.q, np.array([delta]), seg.length)[0]
+             for seg in segments]
+
+    def grids(m):
+        out = []
+        for seg, head in zip(segments, heads):
+            tail = None
+            if delta < seg.rise:
+                tail = np.union1d(delta * (seg.rise / delta) ** np.linspace(0.0, 1.0, m + 1),
+                                  np.linspace(delta, seg.rise, m + 1))
+            out.append((np.linspace(0.0, head, m // 3 + 1), tail))
+        return out
+
+    plans = [grids(m) for m in _LEVELS]
+    counts = [sum(len(h) - 1 + (0 if t is None else len(t) - 1) for h, t in plan) for plan in plans]
+    if counts[1] > max_panels:
+        raise QuadratureBudgetError(f"axis grid needs {counts[1]} panels, budget is {max_panels}")
+
+    def value(plan):
+        total = 0j
+        for seg, (head, tail) in zip(segments, plan):
+            s, wt = _composite(head, 24)
+            part = np.dot(np.exp(1j * tau * seg.sign * polyval(s, seg.q))
+                          * amp(seg.x0 + seg.direction * s), wt)
+            if tail is not None:
+
+                def G(w, seg=seg):
+                    s = _invert(seg.q, w, seg.length)
+                    g = amp(seg.x0 + seg.direction * s)
+                    slope = polyval(s, seg.q[1:] * np.arange(1, len(seg.q)))
+                    # 0 where eta has underflowed, also at a critical end +-b
+                    return np.divide(g, slope, out=np.zeros_like(g), where=g != 0)
+
+                F = _filon_integral(np.array([float(tau)]), tail, G)[0]
+                part += F if seg.sign > 0 else np.conj(F)
+            total += np.exp(1j * tau * seg.p0) * part
+        return 2.0 * total if even else total
+
+    fits = (plan for plan, count in zip(plans, counts) if count <= max_panels)
+    return _refine(((value(plan), 0.0) for plan in fits), tol)
 
 
 def _axis_integral(
@@ -505,25 +648,14 @@ def _axis_integral(
     tol: float,
     max_panels: int,
 ):
-    b = eta.support_radius()
-    if len(poly1d.terms) == 1:
+    """(value, err, converged) of int e^{i tau p(x)} x^power eta(x) dx over the full line."""
+    if len(poly1d.terms) == 1 and (0,) not in poly1d.terms:
         # pure-power phase: the Filon profile evaluator is tau-independent
         ((dexp,), coeff), = poly1d.terms.items()
         vals, errs = oscillatory_profile([tau * float(coeff)], dexp, power, eta, tol=tol,
                                          full_line=True, absolute=False)
-        return complex(vals[0]), float(errs[0]), 0, bool(errs[0] <= tol)
-    dp = poly1d.partial(1)
-
-    def dens(u):
-        return tau * np.abs(dp.evaluate([u])) / (2 * pi) if dp.terms else np.zeros_like(u)
-
-    def fn(u):
-        phase = poly1d.evaluate([u]) if poly1d.terms else 0.0
-        amp = (u**power if power else 1.0) * eta(u)
-        return np.exp(1j * tau * phase) * amp
-
-    edges = phase_resolved_edges(-b, b, dens, max_panels=max_panels)
-    return adaptive_complex_quad(fn, -b, b, tol, initial_edges=edges, max_panels=max_panels)
+        return complex(vals[0]), float(errs[0]), bool(errs[0] <= tol)
+    return _axis_filon(poly1d, power, eta, tau, tol, max_panels)
 
 
 def _gradient_bound_1d(f: Polynomial, i: int, radius: float):
@@ -629,9 +761,12 @@ def eval_oscillatory(
 ) -> OscillatorySample:
     """I(tau, phi) = int exp(i tau f(x)) phi(x) dx over the support of phi.
 
-    Additively separable phases with product-shape amplitudes factor into
-    one-dimensional integrals; everything else goes through tensor-product
-    quadrature (n <= 3).
+    Additively separable phases with product-shape amplitudes, and every
+    phase in n = 1, factor into one-dimensional axis integrals on Filon
+    routes whose cost does not grow with tau: pure powers through the
+    profile evaluator, any other axis polynomial through its monotone
+    pieces.  Everything else goes through tensor-product quadrature
+    (n <= 3) with a panel-doubling error estimate.
     """
     if f.n != phi.n:
         raise ValueError("phase and amplitude dimensions differ")
@@ -645,7 +780,7 @@ def eval_oscillatory(
         polys, const = parts
         values, errors, converged = [], [], True
         for i in range(f.n):
-            v, e, _, conv = _axis_integral(
+            v, e, conv = _axis_integral(
                 polys[i], phi.nu[i], phi.cutoff, tau, tol / (4 * f.n), max_panels
             )
             values.append(v)
@@ -665,7 +800,7 @@ def eval_oscillatory(
                                  error_estimate=float(err), converged=converged)
 
     if f.n == 1:
-        v, e, _, conv = _axis_integral(f, phi.nu[0], phi.cutoff, tau, tol, max_panels)
+        v, e, conv = _axis_integral(f, phi.nu[0], phi.cutoff, tau, tol, max_panels)
         return OscillatorySample(float(tau), complex(v), float(e), conv)
     v, e, conv = _tensor_oscillatory(f, phi, phi.cutoff.support_radius(), tau, tol, max_panels)
     return OscillatorySample(float(tau), complex(v), float(e), conv)

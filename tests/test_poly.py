@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oscillab.poly import ParseError, Polynomial, parse
+from oscillab.poly import ParseError, Polynomial, parse, real_roots
 
 
 def test_parse_basic():
@@ -94,6 +94,51 @@ def test_axis_parts():
     assert const == Fraction(2, 3)
     assert parse("x1^2 + x2^2", 2).axis_parts()[1] == 0
     assert parse("x1^2 + x1*x2 + x2^4", 2).axis_parts() is None
+
+
+def test_real_roots_of_known_polynomials():
+    # 2 x^3 (2 + 3 x^2): a triple root at 0 and two imaginary ones
+    assert real_roots(parse("4*x1^3 + 6*x1^5", 1)) == [0.0]
+    assert real_roots(parse("x1^2 - 2", 1)) == [-np.sqrt(2.0), np.sqrt(2.0)]
+    assert real_roots(parse("(x1 - 1)^3*(x1 + 3)^2*(3*x1 - 1)", 1)) == [-3.0, 1 / 3, 1.0]
+    # no real roots, on the whole line or on an interval
+    assert real_roots(parse("x1^2 + 1", 1)) == []
+    assert real_roots(parse("x1^2 - 2", 1), -1, 1) == []
+    assert real_roots(parse("7", 1)) == []
+
+
+def test_real_roots_at_the_interval_ends():
+    p = parse("2*x1 - 1/2*x1^3", 1)  # roots -2, 0, 2
+    assert real_roots(p, -2, 2) == [-2.0, 0.0, 2.0]
+    assert real_roots(p, 0, 2) == [0.0, 2.0]
+    assert real_roots(p, -2, -2) == [-2.0]
+    assert real_roots(p, -1.5, 1.5) == [0.0]
+
+
+def test_real_roots_validation():
+    with pytest.raises(ValueError):
+        real_roots(Polynomial.zero(1))
+    with pytest.raises(ValueError):
+        real_roots(parse("x1 + x2", 2))
+    with pytest.raises(ValueError):
+        real_roots(parse("x1", 1), 1, -1)
+
+
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=7))
+@settings(max_examples=80, deadline=None)
+def test_real_roots_match_numpy_on_squarefree_integer_polynomials(coeffs):
+    # coeffs run lowest degree first; numpy.roots wants the highest first
+    assume(coeffs[-1] != 0)
+    z = np.roots(coeffs[::-1])
+    # roots at least 1e-3 apart: squarefree, and each complex pair has
+    # |imag| >= 5e-4, so numpy's real roots are the ones with imag == 0
+    assume(all(abs(a - b) >= 1e-3 for i, a in enumerate(z) for b in z[i + 1 :]))
+    expected = np.sort(z[z.imag == 0].real)
+    p = Polynomial(1, {(k,): c for k, c in enumerate(coeffs)})
+    got = real_roots(p)
+    assert len(got) == len(expected)
+    assert np.allclose(got, expected, rtol=1e-8, atol=1e-10)
+    assert got == sorted(got)
 
 
 def test_substitute_one():

@@ -1,4 +1,5 @@
-from math import gamma, pi, sqrt
+from functools import lru_cache
+from math import ceil, gamma, pi, sqrt
 
 import numpy as np
 import pytest
@@ -198,6 +199,79 @@ def test_separable_pure_powers_converge_at_the_full_line_error():
     for tau in geometric_grid(1e2, 1e4, 24):
         s = eval_oscillatory(f, phi, float(tau), tol=1e-10)
         assert s.converged, tau
+
+
+# -- general axis polynomials ---------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _dense_axis_reference(phase, tau):
+    """int e^{i tau p(x)} x^k eta(x) dx over [-2, 2] for k = 0, 1, 2.
+
+    Composite 16-point Gauss on uniform panels at most half a wavelength
+    wide, the wavelength taken from a bound on |p'| over the support.
+    """
+    p = parse(phase, 1)
+    c = np.zeros(max((e for (e,) in p.terms), default=0) + 1)
+    for (e,), a in p.terms.items():
+        c[e] = float(a)
+    slope = sum(abs(k * c[k]) * 2.0 ** (k - 1) for k in range(1, len(c)))
+    panels = max(64, ceil(4.0 * tau * slope / pi))  # half a wavelength is pi / (tau slope)
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(-2.0, 2.0, panels + 1)
+    out = np.zeros(3, dtype=complex)
+    for i in range(0, panels, 20000):
+        lo, hi = edges[:-1][i : i + 20000], edges[1:][i : i + 20000]
+        half = 0.5 * (hi - lo)[:, None]
+        x = (0.5 * (hi + lo)[:, None] + half * x16).ravel()
+        g = np.exp(1j * tau * np.polynomial.polynomial.polyval(x, c)) * ETA(x)
+        g = g * (half * w16).ravel()
+        out += [np.sum(g), np.sum(g * x), np.sum(g * x * x)]
+    return tuple(out)
+
+
+AXIS_PHASES = ["x1^2 + x1^4", "x1^4 + x1^6", "x1^2 - x1^4", "x1^2 + x1^3", "x1 + x1^3",
+               "x1^2 - 1/8*x1^4"]  # critical points at +-1/sqrt(2) and at +-b = +-2
+
+
+@pytest.mark.parametrize("phase", AXIS_PHASES)
+@pytest.mark.parametrize("nu", [0, 2])
+@pytest.mark.parametrize("tau", [1.0, 1e2, 1e3, 1e4])
+def test_multi_term_axis_matches_dense_reference(phase, nu, tau):
+    phi = TestFunction(nu=(nu,), cutoff=ETA)
+    s = eval_oscillatory(parse(phase, 1), phi, tau, tol=1e-10)
+    assert s.converged
+    assert abs(s.value - _dense_axis_reference(phase, tau)[nu]) <= 1e-10
+
+
+@pytest.mark.parametrize("tau", [1.0, 1e2, 1e4])
+def test_zero_axis_and_constant_term_match_dense_reference(tau):
+    # x2 does not occur in x1^4, so its axis integral is int x2^2 eta(x2) dx2
+    s = eval_oscillatory(parse("x1^4", 2), TestFunction(nu=(0, 2), cutoff=ETA), tau, tol=1e-10)
+    ref = _dense_axis_reference("x1^4", tau)[0] * _dense_axis_reference("0", tau)[2]
+    assert s.converged
+    assert abs(s.value - ref) <= 1e-10
+    # n = 1 radial: the constant stays inside the axis polynomial
+    phi = TestFunction(nu=(0,), cutoff=ETA, shape="radial")
+    s = eval_oscillatory(parse("x1^2 + x1^4 + 3", 1), phi, tau, tol=1e-10)
+    assert s.converged
+    assert abs(s.value - _dense_axis_reference("x1^2 + x1^4 + 3", tau)[0]) <= 1e-10
+
+
+def test_odd_amplitude_on_even_axis_vanishes():
+    s = eval_oscillatory(parse("x1^2 + x1^4", 1), TestFunction(nu=(1,), cutoff=ETA), 300.0)
+    assert s.value == 0.0 and s.converged
+
+
+@pytest.mark.parametrize("tau", [1e5, 1e6, 1e7])
+def test_multi_term_axis_matches_its_large_tau_expansion(tau):
+    # x = y - y^3/2 + ... maps x^2 + x^4 to y^2 with dx/dy = 1 - 3y^2/2 + ...,
+    # so I = sqrt(pi/tau) e^{i pi/4} (1 - 3i/(4 tau)) + O(tau^{-5/2})
+    s = eval_oscillatory(parse("x1^2 + x1^4", 1), TestFunction(nu=(0,), cutoff=ETA), tau,
+                         tol=1e-12)
+    approx = sqrt(pi / tau) * np.exp(1j * pi / 4) * (1 - 3j / (4 * tau))
+    assert s.converged
+    assert abs(s.value - approx) <= 10 * tau**-2.5 + 1e-13
 
 
 def test_radial_reduction_agrees_with_tensor_quadrature():
