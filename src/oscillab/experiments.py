@@ -13,16 +13,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from math import pi
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ._version import __version__
 from .bump import CutoffFunction, SymmetricCutoff, TestFunction
 from .fit import check_theorem2, coefficient_at, fit_leading, geometric_grid
 from .nondegen import SearchOptions, check_R_nondegenerate
-from .poly import Polynomial, parse
+from .poly import Polynomial, parse, real_roots
 from .polytope import is_convenient, newton_polytope
 from .quad import (
     OscillatorySample,
@@ -42,7 +39,7 @@ __all__ = [
     "run_theorem2_battery",
     "run_theorem3_lab",
     "export_report",
-    "sphere_min_abs",
+    "zero_locus_is_origin",
 ]
 
 BOUND_TOLERANCE = 0.05
@@ -164,26 +161,19 @@ def run_theorem2_battery(
 # ---------------------------------------------------------------------------
 
 
-def sphere_min_abs(f: Polynomial, samples: int = 8192) -> float:
-    """min |f| on the unit sphere (dense scan; n in {2, 3}).
+def zero_locus_is_origin(f: Polynomial) -> bool:
+    """True iff the real zero locus of a homogeneous f in two variables is the origin.
 
-    For homogeneous f, a strictly positive minimum certifies that the real
-    zero locus is only the origin.
+    A real zero off the origin spans a line through it, so it shows as a real
+    root t of f(t, 1) or as f(1, 0) = 0; both are decided exactly, the first
+    by ``poly.real_roots``.
     """
-    if f.n == 2:
-        th = np.linspace(0.0, 2 * pi, samples, endpoint=False)
-        vals = np.abs(f.evaluate([np.cos(th), np.sin(th)]))
-        return float(np.min(vals))
-    if f.n == 3:
-        m = int(np.sqrt(samples))
-        th = np.linspace(0.0, pi, m)
-        ph = np.linspace(0.0, 2 * pi, 2 * m, endpoint=False)
-        T, P = np.meshgrid(th, ph, indexing="ij")
-        x = np.sin(T) * np.cos(P)
-        y = np.sin(T) * np.sin(P)
-        z = np.cos(T)
-        return float(np.min(np.abs(f.evaluate([x, y, z]))))
-    raise ValueError("sphere scan supports n in {2, 3}")
+    if f.n != 2:
+        raise ValueError(f"the zero-locus test needs n = 2, got {f.n}")
+    d = f.homogeneous_degree()
+    if d is None:
+        raise ValueError("the zero-locus test needs a homogeneous polynomial")
+    return (d, 0) in f.terms and not real_roots(f.substitute_one(2))
 
 
 def _diagonal_oracle(f: Polynomial, nu: Tuple[int, ...]):
@@ -304,13 +294,12 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
     n = f.n
     gamma = Fraction(n, d)
     verdict_nd = check_R_nondegenerate(f, SearchOptions(starts=60, seed=cfg.seed), polytope=poly)
-    smin = sphere_min_abs(f)
     checks = {
         "homogeneous": True,
         "convenient": True,
         "even_dimension": True,
         "likely_R_nondegenerate": not verdict_nd.degenerate,
-        "zero_locus_origin_only": smin > 1e-9,
+        "zero_locus_origin_only": zero_locus_is_origin(f),
         "degree_even": d % 2 == 0,
         "degree_exceeds_dimension": d > n,
     }

@@ -16,6 +16,7 @@ __all__ = [
     "Polynomial",
     "ParseError",
     "parse",
+    "multiple_real_roots",
     "real_roots",
 ]
 
@@ -320,6 +321,36 @@ def _sign_changes(seq: list, x: Fraction) -> int:
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
+def _dense(p: Polynomial) -> list:
+    """Dense coefficients of a nonzero univariate ``p``."""
+    if p.n != 1:
+        raise ValueError("expected a univariate polynomial")
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no isolated roots")
+    coeffs = [Fraction(0)] * (max(e for (e,) in p.terms) + 1)
+    for (e,), c in p.terms.items():
+        coeffs[e] = c
+    return coeffs
+
+
+def _gcd_with_derivative(a: list) -> list:
+    gcd, rem = a, _derivative(a)
+    while rem:
+        gcd, rem = rem, _divmod(gcd, rem)[1]
+    return gcd
+
+
+def multiple_real_roots(p: Polynomial) -> List[float]:
+    """Distinct real roots of multiplicity >= 2 of a univariate ``p``, ascending.
+
+    These are the real roots of gcd(p, p'), decided over Fraction.
+    """
+    gcd = _gcd_with_derivative(_dense(p))
+    if len(gcd) == 1:
+        return []
+    return real_roots(Polynomial(1, {(k,): c for k, c in enumerate(gcd)}))
+
+
 def real_roots(p: Polynomial, lo=None, hi=None) -> List[float]:
     """Distinct real roots of a univariate ``p`` in [lo, hi], ascending, as floats.
 
@@ -327,17 +358,8 @@ def real_roots(p: Polynomial, lo=None, hi=None) -> List[float]:
     part are isolated by Sturm counts over Fraction and each is bisected
     exactly until its bracket is below float resolution.
     """
-    if p.n != 1:
-        raise ValueError("real_roots needs a univariate polynomial")
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no isolated roots")
-    coeffs = [Fraction(0)] * (max(e for (e,) in p.terms) + 1)
-    for (e,), c in p.terms.items():
-        coeffs[e] = c
-    gcd, rem = coeffs, _derivative(coeffs)
-    while rem:
-        gcd, rem = rem, _divmod(gcd, rem)[1]
-    q = _divmod(coeffs, gcd)[0]
+    coeffs = _dense(p)
+    q = _divmod(coeffs, _gcd_with_derivative(coeffs))[0]
     # Cauchy: every root has |x| < 1 + max |q_i / q_top|
     bound = 1 + max(abs(c / q[-1]) for c in q)
     lo = -bound if lo is None else _as_fraction(lo)

@@ -10,7 +10,7 @@ from oscillab.experiments import (
     export_report,
     run_theorem2_battery,
     run_theorem3_lab,
-    sphere_min_abs,
+    zero_locus_is_origin,
 )
 from oscillab.poly import parse
 
@@ -33,12 +33,18 @@ def test_default_fixtures_are_well_formed():
         assert f.n == len(nu) == 2
 
 
-def test_sphere_min_abs():
-    assert sphere_min_abs(parse("x1^2 + x2^2", 2)) == pytest.approx(1.0)
-    assert sphere_min_abs(parse("x1^2 - x2^2", 2)) < 1e-3
-    assert sphere_min_abs(parse("x1^2 + x2^2 + x3^2", 3)) == pytest.approx(1.0)
+def test_zero_locus_is_origin():
+    assert zero_locus_is_origin(parse("x1^2 + x2^2", 2))
+    assert zero_locus_is_origin(parse("x1^4 + x1^2*x2^2 + x2^4", 2))
+    assert not zero_locus_is_origin(parse("x1^2 - x2^2", 2))
+    # a double real line that a sampled sphere scan reads as |f| >= 1.46e-6
+    assert not zero_locus_is_origin(parse("(x1 - 3*x2)^2*(x1^2 + x2^2)", 2))
+    # the line x2 = 0 shows only as f(1, 0) = 0
+    assert not zero_locus_is_origin(parse("x2^2*(x1^2 + x2^2)", 2))
     with pytest.raises(ValueError):
-        sphere_min_abs(parse("x1^2", 1))
+        zero_locus_is_origin(parse("x1^2 + x2^2 + x3^2", 3))
+    with pytest.raises(ValueError):
+        zero_locus_is_origin(parse("x1^2 + x2^4", 2))
 
 
 def test_battery_small_config():

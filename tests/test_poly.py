@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from oscillab.poly import ParseError, Polynomial, parse, real_roots
+from oscillab.poly import ParseError, Polynomial, multiple_real_roots, parse, real_roots
 
 
 def test_parse_basic():
@@ -105,6 +105,15 @@ def test_real_roots_of_known_polynomials():
     assert real_roots(parse("x1^2 + 1", 1)) == []
     assert real_roots(parse("x1^2 - 2", 1), -1, 1) == []
     assert real_roots(parse("7", 1)) == []
+
+
+def test_multiple_real_roots():
+    assert multiple_real_roots(parse("(x1 - 1)^3*(x1 + 3)^2*(3*x1 - 1)", 1)) == [-3.0, 1.0]
+    assert multiple_real_roots(parse("x1^3*(x1^2 - 2)^2", 1)) == [-np.sqrt(2.0), 0.0, np.sqrt(2.0)]
+    # squarefree, or repeated only over C
+    assert multiple_real_roots(parse("x1^3 - x1", 1)) == []
+    assert multiple_real_roots(parse("(x1^2 + 1)^2", 1)) == []
+    assert multiple_real_roots(parse("7", 1)) == []
 
 
 def test_real_roots_at_the_interval_ends():

@@ -128,3 +128,45 @@ def test_polytope_built_once_per_call(route, monkeypatch):
     rep = route(parse("x1^4 + x2^4", 2), FAST)
     assert "likely_R_nondegenerate" in rep.flags
     assert len(calls) == 1
+
+
+# The five phases of the benchmark's geometry workload, with fixed
+# coefficients.  Even exponents with positive coefficients admit no real torus
+# critical point on any face, and neither do the chain's binomial edges; a face
+# polynomial that is the square of a binomial is singular on a real torus curve.
+CHAIN_EDGES = ((1, -5), (1, -4), (1, -3), (2, -5), (1, -2), (2, -3), (1, -1),
+               (3, -2), (2, -1), (3, -1))
+SEXTIC_4D = ((6, 0, 0, 0), (0, 6, 0, 0), (0, 0, 6, 0), (0, 0, 0, 6),
+             (4, 2, 0, 0), (2, 4, 0, 0), (0, 4, 2, 0), (0, 2, 4, 0), (0, 0, 4, 2),
+             (0, 0, 2, 4), (4, 0, 0, 2), (2, 0, 0, 4), (2, 2, 2, 0), (0, 2, 2, 2),
+             (2, 0, 2, 2))
+
+
+def _phase(support):
+    """sum of the monomials with coefficients cycling through 1..5."""
+    return " + ".join(
+        f"{k % 5 + 1}*" + "*".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
+        for k, exps in enumerate(support))
+
+
+def _chain_support():
+    y = -sum(dy for _, dy in CHAIN_EDGES)
+    x, pts = 0, [(0, y)]
+    for dx, dy in CHAIN_EDGES:
+        x, y = x + dx, y + dy
+        pts.append((x, y))
+    return pts
+
+
+@pytest.mark.parametrize("phase,n,degenerate", [
+    (_phase(_chain_support()), 2, False),
+    ("x1^6 + 2*x2^6 + 3*x3^6 + 4*x1^2*x2^2 + 5*x2^2*x3^2 + x1^2*x3^2", 3, False),
+    ("(x1^2 - 2*x2^2)^2 + 3*x3^6 + x1^2*x3^2 + 2*x2^2*x3^2", 3, True),
+    (_phase(SEXTIC_4D), 4, False),
+    ("(x1^2 - 3*x2^3)^2 + 2*x1^6 + x2^8", 2, True),
+], ids=["2-D chain", "3-D even sextic", "3-D squared binomial", "4-D sextic",
+        "2-D squared binomial"])
+def test_geometry_verdicts_match_their_construction(phase, n, degenerate):
+    f = parse(phase, n)
+    rep = rlct_newton_candidate(f)
+    assert rep.flags["likely_R_nondegenerate"] is not degenerate
