@@ -16,12 +16,10 @@ from .experiments import (
     run_theorem3_lab,
 )
 from .fit import (
-    AsymptoticTerm,
     ExponentEstimate,
     check_theorem2,
     coefficient_at,
     cutoff_independence_check,
-    deflate,
     fit_leading,
     geometric_grid,
 )

@@ -54,13 +54,6 @@ class CutoffFunction:
         y = np.abs(np.asarray(y, dtype=float))
         return smoothstep((self.b - y) / (self.b - self.a))
 
-    def derivative_bound(self, samples: int = 20001) -> float:
-        """Numerical bound on sup |eta'|, from a dense centered-difference scan."""
-        ys = np.linspace(0.0, self.b, samples)
-        h = ys[1] - ys[0]
-        vals = self(ys)
-        return float(np.max(np.abs(np.diff(vals))) / h) * 1.25
-
     def support_radius(self) -> float:
         return self.b
 

@@ -49,13 +49,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(p: _Parser):
+def _add_common(p: _Parser, amplitude: bool):
     p.add_argument("--config", help="key=value file mirroring the flags")
     p.add_argument("--phase", help="phase polynomial, e.g. 'x1^4 + x2^4'")
     p.add_argument("--dim", type=int, help="ambient dimension n")
-    p.add_argument("--nu", help="amplitude monomial exponents, comma separated")
+    if amplitude:
+        p.add_argument("--nu", help="amplitude monomial exponents, comma separated")
+        p.add_argument("--shape", choices=["product", "radial"], help="amplitude shape")
     p.add_argument("--cutoff", help="cutoff radii a,b (1 on [-a,a], 0 outside (-b,b))")
-    p.add_argument("--shape", choices=["product", "radial"], help="amplitude shape")
     p.add_argument("--tau-min", type=float, dest="tau_min")
     p.add_argument("--tau-max", type=float, dest="tau_max")
     p.add_argument("--tau-count", type=int, dest="tau_count")
@@ -73,7 +74,9 @@ def _build_parser():
     for name in ("polytope", "rlct", "oscillate", "fit", "theorem2-battery",
                  "theorem3-lab", "report"):
         p = sub.add_parser(name)
-        _add_common(p)
+        # the battery's fixtures and the lab's series fix their own amplitudes,
+        # so --nu and --shape (as flags or config keys) are usage errors there
+        _add_common(p, amplitude=name not in ("theorem2-battery", "theorem3-lab"))
         if name == "rlct":
             p.add_argument("--method", choices=["homogeneous", "candidate", "resolution"])
             p.add_argument("--resolution-data", dest="resolution_data",
@@ -179,9 +182,7 @@ def _experiment_config(opts: dict) -> ExperimentConfig:
     return ExperimentConfig(
         phase=opts.get("phase") or "",
         dim=opts["dim"],
-        nu=_ints(opts["nu"]),
         cutoff=(a, b),
-        shape=opts["shape"],
         tau_min=opts["tau_min"],
         tau_max=opts["tau_max"],
         tau_count=opts["tau_count"],
@@ -231,7 +232,7 @@ def _cmd_oscillate(opts: dict) -> int:
     payload = {
         "kind": "oscillate",
         "version": __version__,
-        "config": asdict(_experiment_config(opts)),
+        "config": dict(asdict(_experiment_config(opts)), nu=phi.nu, shape=phi.shape),
         "samples": [sample_row(s) for s in samples],
     }
     _emit(export_report(payload, opts["fmt"]), opts, f"samples.{opts['fmt']}")

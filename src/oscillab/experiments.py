@@ -19,7 +19,7 @@ from ._version import __version__
 from .bump import CutoffFunction, SymmetricCutoff, TestFunction
 from .fit import check_theorem2, coefficient_at, fit_leading, geometric_grid
 from .nondegen import SearchOptions, check_R_nondegenerate
-from .poly import Polynomial, parse, real_roots
+from .poly import Polynomial, circle_zeros, parse
 from .polytope import is_convenient, newton_polytope
 from .quad import (
     OscillatorySample,
@@ -58,9 +58,7 @@ class HypothesisError(RuntimeError):
 class ExperimentConfig:
     phase: str = ""
     dim: int = 2
-    nu: Tuple[int, ...] = (0, 0)
     cutoff: Tuple[float, float] = (1.0, 2.0)
-    shape: str = "product"
     tau_min: float = 1e2
     tau_max: float = 1e4
     tau_count: int = 24
@@ -164,16 +162,9 @@ def run_theorem2_battery(
 def zero_locus_is_origin(f: Polynomial) -> bool:
     """True iff the real zero locus of a homogeneous f in two variables is the origin.
 
-    A real zero off the origin spans a line through it, so it shows as a real
-    root t of f(t, 1) or as f(1, 0) = 0; both are decided exactly, the first
-    by ``poly.real_roots``.
+    Decided exactly: f has no zero on the unit circle (``poly.circle_zeros``).
     """
-    if f.n != 2:
-        raise ValueError(f"the zero-locus test needs n = 2, got {f.n}")
-    d = f.homogeneous_degree()
-    if d is None:
-        raise ValueError("the zero-locus test needs a homogeneous polynomial")
-    return (d, 0) in f.terms and not real_roots(f.substitute_one(2))
+    return not circle_zeros(f)
 
 
 def _diagonal_oracle(f: Polynomial, nu: Tuple[int, ...]):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,12 +28,9 @@ from .polytope import (
 from .quad import OscillatorySample, eval_oscillatory
 
 __all__ = [
-    "AsymptoticTerm",
     "ExponentEstimate",
     "geometric_grid",
-    "local_slopes",
     "fit_leading",
-    "deflate",
     "coefficient_at",
     "check_theorem2",
     "cutoff_independence_check",
@@ -41,20 +38,6 @@ __all__ = [
     "DecayReport",
     "CoefficientVerdict",
 ]
-
-
-@dataclass(frozen=True)
-class AsymptoticTerm:
-    alpha: float
-    k: int
-    coeff: complex
-    coeff_err: float = 0.0
-
-    def __post_init__(self):
-        if self.alpha >= 0:
-            raise ValueError("expansion exponents are negative")
-        if self.k < 0:
-            raise ValueError("log power must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -87,20 +70,6 @@ def geometric_grid(tau_min: float, tau_max: float, count: int) -> np.ndarray:
     if count < 8:
         raise ValueError("need at least 8 grid points")
     return np.geomspace(tau_min, tau_max, count)
-
-
-def local_slopes(taus: Sequence[float], values: Sequence[complex]):
-    """Centered-difference slopes of log|I| against log tau; NaN where |I| = 0."""
-    taus = np.asarray(taus, dtype=float)
-    mags = np.abs(np.asarray(values))
-    logt = np.log(taus)
-    out = np.full(len(taus), np.nan)
-    with np.errstate(divide="ignore"):
-        logm = np.log(mags)
-    for j in range(1, len(taus) - 1):
-        if np.isfinite(logm[j - 1]) and np.isfinite(logm[j + 1]):
-            out[j] = (logm[j + 1] - logm[j - 1]) / (logt[j + 1] - logt[j - 1])
-    return out
 
 
 def _usable(samples: Sequence[OscillatorySample]):
@@ -169,22 +138,6 @@ def fit_leading(
         residual=resid, noise_floor=rel_noise, converged=converged,
         window=(float(taus[0]), float(taus[-1])),
     )
-
-
-def deflate(samples: Sequence[OscillatorySample], term: AsymptoticTerm) -> List[OscillatorySample]:
-    """Subtract C tau^alpha (log tau)^k from every sample, propagating errors."""
-    out = []
-    for s in samples:
-        model = s.tau**term.alpha * np.log(s.tau) ** term.k
-        out.append(
-            OscillatorySample(
-                tau=s.tau,
-                value=s.value - term.coeff * model,
-                error_estimate=s.error_estimate + term.coeff_err * abs(model),
-                converged=s.converged,
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import atan2, pi
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Polynomial",
     "ParseError",
     "parse",
+    "circle_zeros",
     "multiple_real_roots",
     "real_roots",
 ]
@@ -207,20 +209,7 @@ class Polynomial:
             total = total + v
         return total
 
-    def evaluate_and_gradient(self, point: Sequence):
-        """Value and all n partials at ``point`` (floats, or complex for complex input)."""
-        value = self.evaluate(point)
-        grad = [self.partial(i).evaluate(point) for i in range(1, self.n + 1)]
-        return value, grad
-
     # -- structural maps -----------------------------------------------------
-
-    def involution_pullback(self) -> "Polynomial":
-        """Pullback under x_i -> -x_i: each coefficient picks up (-1)^|exponent|."""
-        return Polynomial(
-            self.n,
-            {e: (c if sum(e) % 2 == 0 else -c) for e, c in self.terms.items()},
-        )
 
     def restrict_to_weights(self, weights: Sequence[Fraction], level: Fraction) -> "Polynomial":
         """Partial sum over terms lying on the hyperplane sum(w_i * e_i) == level.
@@ -405,6 +394,24 @@ def real_roots(p: Polynomial, lo=None, hi=None) -> List[float]:
                     a = mid
             roots.append((a + b) / 2)
     return sorted(float(r) for r in roots)
+
+
+def circle_zeros(f: Polynomial) -> List[float]:
+    """Angles in [0, 2 pi) at which a binary form ``f`` vanishes on the unit circle, ascending.
+
+    A zero off the origin spans a line through it, so it shows as a real root
+    t of f(t, 1), at the angles atan2(1, t) and atan2(1, t) + pi, or as
+    f(1, 0) = 0, at 0 and pi.  The roots are decided exactly by ``real_roots``.
+    """
+    if f.n != 2:
+        raise ValueError(f"circle zeros need n = 2, got {f.n}")
+    d = f.homogeneous_degree()
+    if d is None:
+        raise ValueError("circle zeros need a homogeneous polynomial")
+    upper = [atan2(1.0, t) for t in real_roots(f.substitute_one(2))]
+    if (d, 0) not in f.terms:
+        upper.append(0.0)
+    return sorted(upper + [a + pi for a in upper])
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ rules evaluate at a cost that does not grow with tau: pure powers through the
 batched profile ``oscillatory_profile``, every other axis polynomial through
 the substitution w = |p(x) - p(x0)| on its monotone pieces.  Other phases go
 to tensor-product Gauss grids whose panels each hold a bounded number of
-oscillation wavelengths.  Error estimates compare successive refinement
-levels (``_refine``); only ``adaptive_complex_quad``, whose one caller is
-``radial_reduce`` on arcs where the sphere profile changes sign, still uses
-an embedded lower-order rule.  Estimates are heuristic diagnostics, not
-certified bounds.  All accumulation orders are deterministic, so results are
-reproducible.
+oscillation wavelengths.  Homogeneous phases with radial amplitudes reduce
+to sphere integrals of the profile (``radial_reduce``), cut in n = 2 at the
+exact zeros of the phase on the circle.  Every error estimate compares
+successive refinement levels through one rule, ``_refine``.  Estimates are
+heuristic diagnostics, not certified bounds.  All accumulation orders are
+deterministic, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .bump import CutoffFunction, TestFunction
-from .poly import Polynomial, real_roots
+from .poly import Polynomial, circle_zeros, real_roots
 
 __all__ = [
     "OscillatorySample",
@@ -34,7 +34,6 @@ __all__ = [
     "eval_oscillatory",
     "radial_reduce",
     "chart_parity_integral",
-    "adaptive_complex_quad",
 ]
 
 DEFAULT_MAX_PANELS = 10**6
@@ -86,72 +85,6 @@ def _refine(levels, tol: float):
                 return value, err, True
         prev = value
     return prev, err, False
-
-
-def adaptive_complex_quad(
-    fn: Callable,
-    a: float,
-    b: float,
-    tol: float,
-    initial_edges: Optional[np.ndarray] = None,
-    order: int = 16,
-    low_order: int = 8,
-    max_panels: int = DEFAULT_MAX_PANELS,
-    max_rounds: int = 40,
-):
-    """Adaptive bisection with an embedded low-order error estimate.
-
-    ``fn`` must map a 1-d float array to a complex array.  Returns
-    (value, error_estimate, n_panels, converged).
-    """
-    if initial_edges is None:
-        initial_edges = np.linspace(a, b, 9)
-    edges = np.asarray(initial_edges, dtype=float)
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
-
-    def _eval(plo, phi):
-        x_h, w_h = _gl(order)
-        x_l, w_l = _gl(low_order)
-        half = 0.5 * (phi - plo)
-        mid = 0.5 * (phi + plo)
-        nodes_h = mid[:, None] + half[:, None] * x_h[None, :]
-        nodes_l = mid[:, None] + half[:, None] * x_l[None, :]
-        fh = fn(nodes_h.ravel()).reshape(nodes_h.shape)
-        fl = fn(nodes_l.ravel()).reshape(nodes_l.shape)
-        vals_hi = half * (fh @ w_h)
-        vals_lo = half * (fl @ w_l)
-        return vals_hi, np.abs(vals_hi - vals_lo)
-
-    vals, errs = _eval(lo, hi)
-    converged = False
-    for _ in range(max_rounds):
-        total_err = float(np.sum(errs))
-        if total_err <= tol:
-            converged = True
-            break
-        if len(lo) >= max_panels:
-            break
-        # bisect every panel contributing more than its fair share
-        cut = max(tol / (2 * len(lo)), 0.25 * float(np.max(errs)))
-        split = errs >= cut
-        if not np.any(split):
-            split = errs == np.max(errs)
-        keep_lo, keep_hi = lo[~split], hi[~split]
-        keep_vals, keep_errs = vals[~split], errs[~split]
-        mids = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mids])
-        new_hi = np.concatenate([mids, hi[split]])
-        new_vals, new_errs = _eval(new_lo, new_hi)
-        lo = np.concatenate([keep_lo, new_lo])
-        hi = np.concatenate([keep_hi, new_hi])
-        vals = np.concatenate([keep_vals, new_vals])
-        errs = np.concatenate([keep_errs, new_errs])
-    # deterministic summation: sort panels by position, then pairwise-sum
-    idx = np.argsort(lo, kind="stable")
-    value = complex(np.sum(vals[idx]))
-    err = float(np.sum(errs[idx]))
-    return value, err, len(lo), converged or err <= tol
 
 
 def phase_resolved_edges(
@@ -811,39 +744,25 @@ def eval_oscillatory(
 # ---------------------------------------------------------------------------
 
 
-def _sphere_zeros(hvals: np.ndarray, thetas: np.ndarray, h_fn) -> list:
-    """Bisect sign changes of h on the circle from a dense sample."""
-    zeros = []
-    for i in range(len(thetas) - 1):
-        a, b = hvals[i], hvals[i + 1]
-        if a == 0.0:
-            zeros.append(thetas[i])
-        elif a * b < 0:
-            lo, hi = thetas[i], thetas[i + 1]
-            flo = a
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = h_fn(mid)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            zeros.append(0.5 * (lo + hi))
-    return zeros
-
-
 def radial_reduce(
     f: Polynomial,
     phi: TestFunction,
     tau: float,
     tol: float = 1e-8,
-    max_panels: int = DEFAULT_MAX_PANELS,
 ) -> OscillatorySample:
     """I(tau, phi) for homogeneous f and radial phi via the sphere x profile split.
 
     Writes the integral as int_{S^{n-1}} omega^nu R(tau h(omega)) dsigma with
     R(t) = int_0^inf exp(i t r^d) r^{n-1+|nu|} eta(r) dr and h = f restricted
-    to the unit sphere.
+    to the unit sphere.  In n = 2 a circle on which h has no zero takes
+    periodic trapezoid levels.  Otherwise the circle is cut at the exact zeros
+    of h (``poly.circle_zeros``), next to which R(tau h) changes on a scale
+    that shrinks with tau.  Each arc is split at its midpoint, and each half,
+    of length L, is graded geometrically toward its zero and united with
+    uniform panels; the innermost panel, L / ((1 + tau) m), shrinks with the
+    level m.  In n = 3 the sphere takes product Gauss x trapezoid levels.
+    Every level is one batched profile call, with inner error sum |w| perr,
+    and the levels stop by ``_refine``.
     """
     d = f.homogeneous_degree()
     if d is None:
@@ -858,52 +777,37 @@ def radial_reduce(
     prof_tol = tol / (8 * pi)
 
     if n == 2:
-        def h_fn(theta):
-            return f.evaluate([np.cos(theta), np.sin(theta)])
-
-        def mono(theta):
-            out = np.ones_like(np.asarray(theta, dtype=float))
-            c, s = np.cos(theta), np.sin(theta)
-            if phi.nu[0]:
-                out = out * c ** phi.nu[0]
-            if phi.nu[1]:
-                out = out * s ** phi.nu[1]
-            return out
-
-        sample_t = np.linspace(0.0, 2 * pi, 4097)
-        hs = h_fn(sample_t)
-        sign_change = bool(np.any(hs[:-1] * hs[1:] < 0))
-
         def integrand(theta):
-            vals, _ = oscillatory_profile(tau * h_fn(theta), d, npow, eta, tol=prof_tol)
-            return vals * mono(theta)
+            """Profiles at tau h(theta) times the amplitude monomial, and their errors."""
+            c, s = np.cos(theta), np.sin(theta)
+            vals, perr = oscillatory_profile(tau * f.evaluate([c, s]), d, npow, eta, tol=prof_tol)
+            return vals * (c ** phi.nu[0] * s ** phi.nu[1]), perr
 
-        if not sign_change:
-            def circle_level(m):
-                thetas = np.linspace(0.0, 2 * pi, m, endpoint=False)
-                vals, perr = oscillatory_profile(tau * h_fn(thetas), d, npow, eta, tol=prof_tol)
-                step = 2 * pi / m
-                return step * np.sum(vals * mono(thetas)), step * float(np.sum(perr))
-
-            v, e, conv = _refine(map(circle_level, (64, 128, 256, 512, 1024, 2048)), tol)
-            return OscillatorySample(float(tau), complex(v), float(e), conv)
-
-        zeros = _sphere_zeros(hs, sample_t, h_fn)
+        zeros = circle_zeros(f)
         if not zeros:
-            raise RuntimeError("failed to bracket a sign change of the sphere profile")
-        cuts = sorted(zeros)
-        cuts = [cuts[0]] + cuts + [cuts[0] + 2 * pi]
-        total = 0.0 + 0.0j
-        err = 0.0
-        converged = True
-        for a, b in zip(cuts[1:-1], cuts[2:]):
-            v, e, _, conv = adaptive_complex_quad(
-                integrand, a, b, tol / max(1, len(cuts)), max_panels=max_panels
-            )
-            total += v
-            err += e
-            converged = converged and conv
-        return OscillatorySample(float(tau), complex(total), float(err), converged)
+            def circle_level(m):
+                vals, perr = integrand(np.linspace(0.0, 2 * pi, m, endpoint=False))
+                step = 2 * pi / m
+                return step * np.sum(vals), step * float(np.sum(perr))
+
+            levels = map(circle_level, (64, 128, 256, 512, 1024, 2048))
+        else:
+            arcs = list(zip(zeros, zeros[1:] + [zeros[0] + 2 * pi]))
+
+            def arc_level(m):
+                rules = []
+                for a, b in arcs:
+                    half = 0.5 * (b - a)
+                    inner = half / ((1.0 + tau) * m)
+                    s = np.union1d(np.geomspace(inner, half, m + 1), np.linspace(0.0, half, m + 1))
+                    rules.append(_composite(np.concatenate([a + s[:-1], b - s[::-1]]), 16))
+                nodes, wts = (np.concatenate(part) for part in zip(*rules))
+                vals, perr = integrand(nodes)
+                return np.dot(vals, wts), float(np.dot(np.abs(wts), perr))
+
+            levels = map(arc_level, (4, 8, 16, 32, 64, 128, 256))
+        v, e, conv = _refine(levels, tol)
+        return OscillatorySample(float(tau), complex(v), float(e), conv)
 
     # n == 3: product Gauss (in cos theta) x trapezoid (in phi_angle) on S^2
     def sphere_level(L):

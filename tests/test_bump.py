@@ -34,7 +34,6 @@ def test_cutoff_plateau_support_evenness():
     assert np.allclose(v, eta(-xs))
     assert np.all((v >= 0) & (v <= 1))
     assert eta.support_radius() == 2.0
-    assert eta.derivative_bound() > 0
 
 
 def test_cutoff_validation():

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +281,42 @@ def test_oscillate_markdown_output(capsys, tmp_path):
     assert "- phase: x1^2 + x2^2" in out
     assert (outdir / "samples.md").read_text() == out
     assert not (outdir / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["theorem3-lab", "theorem2-battery"])
+@pytest.mark.parametrize("key,value", [("shape", "radial"), ("nu", "2,2")])
+def test_amplitude_options_are_usage_errors_for_lab_and_battery(
+        capsys, tmp_path, monkeypatch, command, key, value):
+    # both fix their own amplitudes; a --shape or --nu there would be ignored
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran before its options were rejected")
+
+    monkeypatch.setattr(cli, "run_theorem3_lab", no_run)
+    monkeypatch.setattr(cli, "run_theorem2_battery", no_run)
+    code, out, err = run(capsys, command, "--phase", "x1^4 + x2^4", f"--{key}", value)
+    assert code == 1
+    assert out == "" and f"--{key}" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"phase = x1^4 + x2^4\n{key} = {value}\n")
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 1
+    assert out == "" and ":2:" in err and key in err
+
+
+def test_oscillate_and_rlct_do_not_import_scipy():
+    # scipy is a test dependency only; a fresh interpreter shows what the CLI loads
+    code = (
+        "import sys\n"
+        "from oscillab.cli import main\n"
+        "assert main(['oscillate', '--phase', 'x1^4 + x1^2*x2^2 + x2^4', '--shape', 'radial',\n"
+        "             '--tau-min', '1', '--tau-max', '4', '--tau-count', '8', '--tol', '1e-6']) == 0\n"
+        "assert main(['rlct', '--phase', 'x1^4 + x1*x2^2 + x2^6', '--method', 'candidate']) == 0\n"
+        "print('scipy' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "False"

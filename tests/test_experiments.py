@@ -95,7 +95,7 @@ def test_lab_hard_gates():
     with pytest.raises(HypothesisError) as exc:
         run_theorem3_lab("x1^2 + x2^2 + x3^2", cfg3)
     assert exc.value.check == "even_dimension"
-    cfg4 = ExperimentConfig(dim=4, nu=(0, 0, 0, 0))
+    cfg4 = ExperimentConfig(dim=4)
     with pytest.raises(HypothesisError) as exc:
         run_theorem3_lab("x1^2 + x2^2 + x3^2 + x4^2", cfg4)
     assert exc.value.check == "supported_dimension"

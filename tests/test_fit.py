@@ -5,14 +5,11 @@ import pytest
 
 from oscillab.bump import TestFunction, make_cutoff
 from oscillab.fit import (
-    AsymptoticTerm,
     check_theorem2,
     coefficient_at,
     cutoff_independence_check,
-    deflate,
     fit_leading,
     geometric_grid,
-    local_slopes,
 )
 from oscillab.poly import parse
 from oscillab.quad import OscillatorySample
@@ -40,22 +37,6 @@ def test_geometric_grid_validation():
     g = geometric_grid(1.0, 100.0, 9)
     assert g[0] == 1.0 and g[-1] == pytest.approx(100.0)
     assert np.allclose(np.diff(np.log(g)), np.log(g[1]) - np.log(g[0]))
-
-
-def test_local_slopes_exact_power_law():
-    taus = geometric_grid(10.0, 1e4, 20)
-    vals = 3.7 * taus**-0.75
-    slopes = local_slopes(taus, vals)
-    assert np.isnan(slopes[0]) and np.isnan(slopes[-1])
-    assert np.allclose(slopes[1:-1], -0.75, atol=1e-9)
-
-
-def test_local_slopes_nan_at_zero_values():
-    taus = geometric_grid(10.0, 1e3, 10)
-    vals = taus**-1.0
-    vals[4] = 0.0
-    slopes = local_slopes(taus, vals)
-    assert np.isnan(slopes[3]) and np.isnan(slopes[5])
 
 
 def test_fit_leading_pure_power():
@@ -93,31 +74,6 @@ def test_fit_leading_tolerates_noise():
     est = fit_leading(synth(taus, lambda t: 1j * t**-0.25, err=1e-4, rng=rng))
     assert est.converged
     assert est.alpha_hat == pytest.approx(-0.25, abs=1e-3)
-
-
-def test_asymptotic_term_validation():
-    with pytest.raises(ValueError):
-        AsymptoticTerm(alpha=0.5, k=0, coeff=1.0)
-    with pytest.raises(ValueError):
-        AsymptoticTerm(alpha=-0.5, k=-1, coeff=1.0)
-
-
-def test_deflate_exposes_second_term():
-    taus = geometric_grid(100.0, 1e4, 24)
-    C1, C2 = 2.0 + 0j, -0.7 + 0.3j
-    samples = synth(taus, lambda t: C1 * t**-0.5 + C2 * t**-1.0)
-    lead = fit_leading(samples)
-    assert lead.alpha_hat == pytest.approx(-0.5, abs=0.02)
-    rest = deflate(samples, AsymptoticTerm(alpha=-0.5, k=0, coeff=C1))
-    sub = fit_leading(rest)
-    assert sub.alpha_hat == pytest.approx(-1.0, abs=1e-3)
-    assert sub.coeff_hat == pytest.approx(C2, rel=1e-2)
-
-
-def test_deflate_propagates_coefficient_error():
-    s = OscillatorySample(tau=100.0, value=1.0 + 0j, error_estimate=1e-10)
-    (out,) = deflate([s], AsymptoticTerm(alpha=-0.5, k=0, coeff=1.0, coeff_err=1e-3))
-    assert out.error_estimate == pytest.approx(1e-10 + 1e-3 * 100.0**-0.5)
 
 
 def test_coefficient_at_nonzero():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import atan2, pi
 
 from hypothesis import assume, given, settings, strategies as st
 
-from oscillab.poly import ParseError, Polynomial, multiple_real_roots, parse, real_roots
+from oscillab.poly import (
+    ParseError, Polynomial, circle_zeros, multiple_real_roots, parse, real_roots,
+)
 
 
 def test_parse_basic():
@@ -73,13 +76,6 @@ def test_homogeneous_degree():
         Polynomial.zero(2).homogeneous_degree()
 
 
-def test_involution_pullback():
-    p = parse("x1^3 + x1*x2 + 1", 2)
-    q = p.involution_pullback()
-    assert q == parse("-x1^3 + x1*x2 + 1", 2)
-    assert q.involution_pullback() == p
-
-
 def test_restrict_to_weights():
     p = parse("x1^2 + x2^4 + x1*x2^3", 2)
     face = p.restrict_to_weights([Fraction(1, 2), Fraction(1, 4)], 1)
@@ -133,6 +129,23 @@ def test_real_roots_validation():
         real_roots(parse("x1", 1), 1, -1)
 
 
+def test_circle_zeros():
+    assert circle_zeros(parse("x1^2 + x2^2", 2)) == []
+    assert circle_zeros(parse("x1^4 + x1^2*x2^2 + x2^4", 2)) == []
+    assert circle_zeros(parse("x1^2 - x2^2", 2)) == pytest.approx(
+        [pi / 4, 3 * pi / 4, 5 * pi / 4, 7 * pi / 4], rel=1e-15)
+    # a double real line: no sign change, but two zeros
+    assert circle_zeros(parse("(x1 - 3*x2)^2*(x1^2 + x2^2)", 2)) == pytest.approx(
+        [atan2(1, 3), atan2(1, 3) + pi], rel=1e-15)
+    # the line x2 = 0 shows only as f(1, 0) = 0
+    assert circle_zeros(parse("x2^2*(x1^2 + x2^2)", 2)) == [0.0, pi]
+    assert circle_zeros(parse("x1*x2", 2)) == [0.0, pi / 2, pi, 3 * pi / 2]
+    with pytest.raises(ValueError):
+        circle_zeros(parse("x1^2 + x2^2 + x3^2", 3))
+    with pytest.raises(ValueError):
+        circle_zeros(parse("x1^2 + x2^4", 2))
+
+
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=7))
 @settings(max_examples=80, deadline=None)
 def test_real_roots_match_numpy_on_squarefree_integer_polynomials(coeffs):
@@ -181,7 +194,7 @@ def test_text_round_trip(p):
 @settings(max_examples=60, deadline=None)
 def test_gradient_matches_central_differences(p, point):
     h = 1e-6
-    _, grad = p.evaluate_and_gradient(point)
+    grad = [p.partial(i).evaluate(point) for i in (1, 2)]
     for i in range(2):
         lo = list(point)
         hi = list(point)

@@ -7,10 +7,9 @@ from scipy.special import spherical_jn
 
 from oscillab.bump import SymmetricCutoff, TestFunction, make_cutoff
 from oscillab.fit import geometric_grid
-from oscillab.poly import Polynomial, parse
+from oscillab.poly import Polynomial, circle_zeros, parse
 from oscillab.quad import (
     QuadratureBudgetError,
-    adaptive_complex_quad,
     chart_parity_integral,
     erdelyi_leading,
     eval_oscillatory,
@@ -23,27 +22,6 @@ from oscillab.quad import (
 )
 
 ETA = make_cutoff(1.0, 2.0)
-
-
-# -- adaptive panel quadrature ------------------------------------------------
-
-
-def test_adaptive_quad_elementary_integral():
-    val, err, _, conv = adaptive_complex_quad(
-        lambda x: np.exp(1j * x), 0.0, 1.0, 1e-12
-    )
-    exact = (np.exp(1j) - 1.0) / 1j
-    assert conv
-    assert abs(val - exact) < 1e-12
-
-
-def test_adaptive_quad_oscillatory_integral():
-    # int_0^1 sin(50 x) dx = (1 - cos 50)/50
-    val, err, _, conv = adaptive_complex_quad(
-        lambda x: np.sin(50 * x) + 0j, 0.0, 1.0, 1e-11
-    )
-    assert conv
-    assert abs(val - (1 - np.cos(50.0)) / 50.0) < 1e-10
 
 
 # -- closed-form leading coefficient -------------------------------------------
@@ -282,6 +260,73 @@ def test_radial_reduction_agrees_with_tensor_quadrature():
     b = eval_oscillatory(f, phi, tau, tol=1e-9)  # tensor path (radial amplitude)
     assert a.converged and b.converged
     assert abs(a.value - b.value) < 5e-9
+
+
+# -- radial reduction on circles where h changes sign or vanishes ---------------
+
+SIGN_CHANGING = ["x1*x2", "x1^4 - 6*x1^2*x2^2 + x2^4", "x1^6 - x2^6 + x1^3*x2^3",
+                 "(x1 - 3*x2)^2*(x1^2 + x2^2)"]  # the last one has a double zero only
+
+
+@lru_cache(maxsize=None)
+def _dense_circle_reference(phase, tau):
+    """int over the circle of R(tau h(theta)), nu = 0, by dense composite Gauss.
+
+    The circle is cut at the exact zeros of h, and each half arc is cut
+    dyadically toward its zero down to 1e-3 / (1 + tau), with four uniform
+    16-point panels per dyadic piece: a fixed grid, unlike the levels of the
+    arc rule in ``radial_reduce``.
+    """
+    f = parse(phase, 2)
+    zeros = circle_zeros(f)
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    nodes, weights = [], []
+    for a, b in zip(zeros, zeros[1:] + [zeros[0] + 2 * pi]):
+        half = 0.5 * (b - a)
+        dyadic = half * 2.0 ** -np.arange(ceil(np.log2(half * (1 + tau) / 1e-3)) + 1)
+        s = np.unique(np.concatenate([[0.0]] + [np.linspace(lo, hi, 5)
+                                                for lo, hi in zip(dyadic[1:], dyadic[:-1])]))
+        for edges in (a + s, b - s[::-1]):
+            mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            nodes.append((mid[:, None] + hw[:, None] * x16).ravel())
+            weights.append((hw[:, None] * w16).ravel())
+    theta, w = np.concatenate(nodes), np.concatenate(weights)
+    h = f.evaluate([np.cos(theta), np.sin(theta)])
+    vals, _ = oscillatory_profile(tau * h, f.homogeneous_degree(), 1, ETA, tol=1e-13)
+    return complex(np.dot(vals, w))
+
+
+@pytest.mark.parametrize("phase", SIGN_CHANGING)
+@pytest.mark.parametrize("tau", [1e2, 1e3])
+def test_radial_reduce_at_circle_zeros_matches_dense_reference(phase, tau):
+    # the double-zero phase did not converge when the zeros came from a sign scan
+    phi = TestFunction(nu=(0, 0), cutoff=ETA, shape="radial")
+    s = radial_reduce(parse(phase, 2), phi, tau, tol=1e-10)
+    err = abs(s.value - _dense_circle_reference(phase, tau))
+    assert s.converged
+    assert s.error_estimate >= err
+    assert err <= 1e-10
+
+
+@pytest.mark.parametrize("phase,tau", [(SIGN_CHANGING[0], 30.0), (SIGN_CHANGING[1], 3.0),
+                                       (SIGN_CHANGING[2], 3.0), (SIGN_CHANGING[3], 1.0)])
+def test_radial_reduce_at_circle_zeros_agrees_with_tensor_quadrature(phase, tau):
+    f = parse(phase, 2)
+    phi = TestFunction(nu=(2, 0), cutoff=ETA, shape="radial")
+    a = radial_reduce(f, phi, tau, tol=1e-10)
+    b = eval_oscillatory(f, phi, tau, tol=1e-9)
+    assert a.converged and b.converged
+    assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
+
+
+def test_radial_reduce_respects_rotation_invariance_at_circle_zeros():
+    # x1*x2 and (x1^2 - x2^2)/2 differ by a rotation by pi/4, so their zeros do too
+    phi = TestFunction(nu=(0, 0), cutoff=ETA, shape="radial")
+    tau = 1e3
+    a = radial_reduce(parse("x1*x2", 2), phi, tau, tol=1e-10)
+    b = radial_reduce(parse("1/2*x1^2 - 1/2*x2^2", 2), phi, tau, tol=1e-10)
+    assert a.converged and b.converged
+    assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
 
 def test_tensor_quadrature_respects_rotation_invariance():
