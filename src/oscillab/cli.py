@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: polytope, rlct, oscillate, fit, theorem2-battery, theorem3-lab,
-report.  Flags may also be given in a key=value config file (--config);
-explicit flags override file values.  Exit codes: 0 complete, 1 usage error,
-2 numerical non-convergence, 3 hypothesis failure.
+report.  Each takes exactly the flags it reads (see ``oscillab COMMAND -h``);
+any other flag is a usage error.  The same flags may also be given as keys of
+a key=value config file (--config); explicit flags override file values.
+Exit codes: 0 complete, 1 usage error, 2 numerical non-convergence,
+3 hypothesis failure.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import List, Optional
 
 from ._version import __version__
@@ -49,21 +50,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(p: _Parser, amplitude: bool):
-    p.add_argument("--config", help="key=value file mirroring the flags")
-    p.add_argument("--phase", help="phase polynomial, e.g. 'x1^4 + x2^4'")
-    p.add_argument("--dim", type=int, help="ambient dimension n")
-    if amplitude:
-        p.add_argument("--nu", help="amplitude monomial exponents, comma separated")
-        p.add_argument("--shape", choices=["product", "radial"], help="amplitude shape")
-    p.add_argument("--cutoff", help="cutoff radii a,b (1 on [-a,a], 0 outside (-b,b))")
-    p.add_argument("--tau-min", type=float, dest="tau_min")
-    p.add_argument("--tau-max", type=float, dest="tau_max")
-    p.add_argument("--tau-count", type=int, dest="tau_count")
-    p.add_argument("--tol", type=float, help="quadrature tolerance per sample")
-    p.add_argument("--seed", type=int, help="seed for randomized searches")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--format", choices=["json", "csv", "md"], dest="fmt")
+# the argparse options of every flag; _COMMANDS says which command takes which
+_FLAG_OPTIONS = {
+    "phase": dict(help="phase polynomial, e.g. 'x1^4 + x2^4'"),
+    "dim": dict(type=int, help="ambient dimension n"),
+    "nu": dict(help="amplitude monomial exponents, comma separated"),
+    "shape": dict(choices=["product", "radial"], help="amplitude shape"),
+    "cutoff": dict(help="cutoff radii a,b (1 on [-a,a], 0 outside (-b,b))"),
+    "tau-min": dict(type=float),
+    "tau-max": dict(type=float),
+    "tau-count": dict(type=int),
+    "tol": dict(type=float, help="quadrature tolerance per sample"),
+    "seed": dict(type=int, help="seed for randomized searches"),
+    "method": dict(choices=["homogeneous", "candidate", "resolution"]),
+    "resolution-data": dict(help="JSON file: [{\"m\": int, \"k\": int}, ...]"),
+    "input": dict(help="input file (samples CSV or report JSON)"),
+    "out": dict(help="output directory"),
+    "format": dict(choices=["json", "csv", "md"]),
+}
 
 
 def _build_parser():
@@ -71,18 +75,11 @@ def _build_parser():
     parser = _Parser(prog="oscillab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("polytope", "rlct", "oscillate", "fit", "theorem2-battery",
-                 "theorem3-lab", "report"):
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        # the battery's fixtures and the lab's series fix their own amplitudes,
-        # so --nu and --shape (as flags or config keys) are usage errors there
-        _add_common(p, amplitude=name not in ("theorem2-battery", "theorem3-lab"))
-        if name == "rlct":
-            p.add_argument("--method", choices=["homogeneous", "candidate", "resolution"])
-            p.add_argument("--resolution-data", dest="resolution_data",
-                           help="JSON file: [{\"m\": int, \"k\": int}, ...]")
-        if name in ("fit", "report"):
-            p.add_argument("--input", help="input file (samples CSV or report JSON)")
+        p.add_argument("--config", help="key=value file mirroring the flags")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAG_OPTIONS[flag])
     return parser, sub.choices
 
 
@@ -96,8 +93,9 @@ _DEFAULTS = {
     "tau_count": 24,
     "tol": 1e-10,
     "seed": 0,
-    "fmt": "json",
+    "format": "json",
 }
+
 
 def _load_config_file(path: str):
     """Yield (line number, key, value) for each key = value line of a config file."""
@@ -109,10 +107,7 @@ def _load_config_file(path: str):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key == "format":
-                key = "fmt"
-            yield lineno, key, value
+            yield lineno, key.replace("-", "_"), value
 
 
 def _config_value(action: argparse.Action, text: str):
@@ -179,16 +174,8 @@ def _make_amplitude(opts: dict) -> TestFunction:
 
 def _experiment_config(opts: dict) -> ExperimentConfig:
     a, b = _floats(opts["cutoff"])
-    return ExperimentConfig(
-        phase=opts.get("phase") or "",
-        dim=opts["dim"],
-        cutoff=(a, b),
-        tau_min=opts["tau_min"],
-        tau_max=opts["tau_max"],
-        tau_count=opts["tau_count"],
-        tol=opts["tol"],
-        seed=opts["seed"],
-    )
+    keys = ("dim", "tau_min", "tau_max", "tau_count", "tol", "seed")
+    return ExperimentConfig(cutoff=(a, b), **{key: opts[key] for key in keys})
 
 
 def _cmd_polytope(opts: dict) -> int:
@@ -232,10 +219,13 @@ def _cmd_oscillate(opts: dict) -> int:
     payload = {
         "kind": "oscillate",
         "version": __version__,
-        "config": dict(asdict(_experiment_config(opts)), nu=phi.nu, shape=phi.shape),
+        "config": dict(
+            {key: opts[key] for key in ("phase", "dim", "tau_min", "tau_max", "tau_count", "tol")},
+            nu=phi.nu, shape=phi.shape, cutoff=(phi.cutoff.a, phi.cutoff.b),
+        ),
         "samples": [sample_row(s) for s in samples],
     }
-    _emit(export_report(payload, opts["fmt"]), opts, f"samples.{opts['fmt']}")
+    _emit(export_report(payload, opts["format"]), opts, f"samples.{opts['format']}")
     return EXIT_OK if all(s.converged for s in samples) else EXIT_NONCONVERGED
 
 
@@ -258,7 +248,7 @@ def _cmd_fit(opts: dict) -> int:
 
 def _cmd_battery(opts: dict) -> int:
     report = run_theorem2_battery(config=_experiment_config(opts))
-    _emit(export_report(report, opts["fmt"]), opts, f"battery.{opts['fmt']}")
+    _emit(export_report(report, opts["format"]), opts, f"battery.{opts['format']}")
     if any(row["status"] == "indeterminate" for row in report.rows):
         return EXIT_NONCONVERGED
     return EXIT_OK
@@ -267,7 +257,7 @@ def _cmd_battery(opts: dict) -> int:
 def _cmd_lab(opts: dict) -> int:
     _require(opts, "phase")
     report = run_theorem3_lab(opts["phase"], _experiment_config(opts))
-    _emit(export_report(report, opts["fmt"]), opts, f"theorem3.{opts['fmt']}")
+    _emit(export_report(report, opts["format"]), opts, f"theorem3.{opts['format']}")
     fits = (report.symmetric_fit, report.generic_fit)
     if not all(fit["converged"] for fit in fits):
         return EXIT_NONCONVERGED
@@ -278,18 +268,22 @@ def _cmd_report(opts: dict) -> int:
     _require(opts, "input")
     with open(opts["input"]) as fh:
         payload = json.load(fh)
-    _emit(export_report(payload, opts["fmt"]), opts, f"report.{opts['fmt']}")
+    _emit(export_report(payload, opts["format"]), opts, f"report.{opts['format']}")
     return EXIT_OK
 
 
+# Each command's handler and exactly the flags it reads (_FLAG_OPTIONS).  Every
+# command also takes --config, a key = value file whose keys are the same flags.
 _COMMANDS = {
-    "polytope": _cmd_polytope,
-    "rlct": _cmd_rlct,
-    "oscillate": _cmd_oscillate,
-    "fit": _cmd_fit,
-    "theorem2-battery": _cmd_battery,
-    "theorem3-lab": _cmd_lab,
-    "report": _cmd_report,
+    "polytope": (_cmd_polytope, "phase dim out"),
+    "rlct": (_cmd_rlct, "phase dim method resolution-data out"),
+    "oscillate": (_cmd_oscillate,
+                  "phase dim nu shape cutoff tau-min tau-max tau-count tol out format"),
+    "fit": (_cmd_fit, "input phase dim nu shape cutoff tau-min tau-max tau-count tol out"),
+    "theorem2-battery": (_cmd_battery, "cutoff tau-min tau-max tau-count tol out format"),
+    "theorem3-lab": (_cmd_lab,
+                     "phase dim cutoff tau-min tau-max tau-count tol seed out format"),
+    "report": (_cmd_report, "input out format"),
 }
 
 
@@ -301,7 +295,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         opts = _resolve(args, commands[args.command])
-        return _COMMANDS[args.command](opts)
+        return _COMMANDS[args.command][0](opts)
     except (UsageError, ParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,7 @@ contradicts, indeterminate}; the lab records evidence, it does not arbitrate.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,6 +44,10 @@ __all__ = [
 
 BOUND_TOLERANCE = 0.05
 SIGNED_VANISHING_TOLERANCE = 1e-10
+LAB_OVERLAP = 0.25                          # chart-cover overlap parameter
+LAB_CHART_TAUS = (1.0, 10.0, 1e2, 1e3)      # spot checks of the chart table
+LAB_SYM_TAU_MAX = 1e3                       # fit window cap for the chart-sum series
+LAB_SYM_TAU_COUNT = 9
 
 
 class HypothesisError(RuntimeError):
@@ -56,18 +60,15 @@ class HypothesisError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    phase: str = ""
-    dim: int = 2
+    """The tau sweep of a run; the lab also reads ``dim`` and ``seed``."""
+
+    dim: int = 2                                # parses a lab phase given as text
     cutoff: Tuple[float, float] = (1.0, 2.0)
     tau_min: float = 1e2
     tau_max: float = 1e4
     tau_count: int = 24
     tol: float = 1e-10
-    seed: int = 0
-    overlap: float = 0.25                       # chart-cover overlap parameter
-    chart_taus: Tuple[float, ...] = (1.0, 10.0, 1e2, 1e3)
-    sym_tau_max: float = 1e3                    # fit window cap for chart-sum series
-    sym_tau_count: int = 9
+    seed: int = 0                               # the lab's nondegeneracy search
 
 
 def _sample_series(f: Polynomial, phi: TestFunction, taus, tol: float) -> List[OscillatorySample]:
@@ -118,7 +119,7 @@ def run_theorem2_battery(
     rows = []
     all_pass = True
     for phase_text, nu in fixtures:
-        f = parse(phase_text, cfg.dim)
+        f = parse(phase_text, len(nu))
         phi = TestFunction(nu=tuple(nu), cutoff=CutoffFunction(*cfg.cutoff), shape="product")
         samples = _sample_series(f, phi, taus, cfg.tol)
         poly = newton_polytope(f)
@@ -151,7 +152,9 @@ def run_theorem2_battery(
                 "status": status,
             }
         )
-    return BatteryReport(rows=tuple(rows), passed=all_pass, config=asdict(cfg))
+    # each fixture's dimension is len(nu), and the battery searches nothing
+    config = {key: value for key, value in asdict(cfg).items() if key not in ("dim", "seed")}
+    return BatteryReport(rows=tuple(rows), passed=all_pass, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +271,6 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
     cfg = config or ExperimentConfig()
     if isinstance(f, str):
         f = parse(f, cfg.dim)
-    cfg = replace(cfg, phase=str(f), dim=f.n)
 
     d = f.homogeneous_degree()
     if d is None:
@@ -296,67 +298,59 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
     }
 
     eta = CutoffFunction(*cfg.cutoff)
-    sc = SymmetricCutoff(n=2, eps=cfg.overlap, eta=eta)
+    sc = SymmetricCutoff(n=2, eps=LAB_OVERLAP, eta=eta)
     charts = blowup_charts(f)
+    chart_samples = {}
+
+    def per_chart(convention: str, tau: float) -> List[OscillatorySample]:
+        """Each chart's integral at tau, computed once for the table and the series."""
+        key = (convention, tau)
+        if key not in chart_samples:
+            chart_samples[key] = [
+                chart_parity_integral(d, n, ch.h, sc.chart_weight(ch.index), convention, tau,
+                                      tol=cfg.tol, eta=eta, eps=LAB_OVERLAP)
+                for ch in charts
+            ]
+        return chart_samples[key]
 
     # chart integrals at the spot-check taus, both radial-weight conventions
     chart_table = []
-    ratios = []
-    for tau in cfg.chart_taus:
-        signed_total = 0.0 + 0.0j
-        abs_total = 0.0 + 0.0j
-        err_total = 0.0
-        per_chart = []
-        for ch in charts:
-            theta = sc.chart_weight(ch.index)
-            s_signed = chart_parity_integral(
-                d, n, ch.h, theta, "signed", tau, tol=cfg.tol, eta=eta, eps=cfg.overlap
-            )
-            s_abs = chart_parity_integral(
-                d, n, ch.h, theta, "absolute", tau, tol=cfg.tol, eta=eta, eps=cfg.overlap
-            )
-            signed_total += s_signed.value
-            abs_total += s_abs.value
-            err_total += s_signed.error_estimate + s_abs.error_estimate
-            per_chart.append(
-                {
-                    "chart": ch.index,
-                    "signed": [s_signed.value.real, s_signed.value.imag],
-                    "absolute": [s_abs.value.real, s_abs.value.imag],
-                }
-            )
+    for tau in LAB_CHART_TAUS:
+        signed, absolute = per_chart("signed", tau), per_chart("absolute", tau)
+        signed_total = sum((s.value for s in signed), 0j)
+        abs_total = sum((s.value for s in absolute), 0j)
         denom = max(abs(abs_total), 1e-300)
         # for odd degree only the real part is forced to vanish by symmetry
         vanishing_part = abs(signed_total) if d % 2 == 0 else abs(signed_total.real)
-        ratios.append(vanishing_part / denom)
         chart_table.append(
             {
                 "tau": float(tau),
-                "charts": per_chart,
+                "charts": [
+                    {
+                        "chart": ch.index,
+                        "signed": [s.value.real, s.value.imag],
+                        "absolute": [a.value.real, a.value.imag],
+                    }
+                    for ch, s, a in zip(charts, signed, absolute)
+                ],
                 "signed_total": [signed_total.real, signed_total.imag],
                 "absolute_total": [abs_total.real, abs_total.imag],
-                "error": err_total,
+                "error": sum((s.error_estimate + a.error_estimate
+                              for s, a in zip(signed, absolute)), 0.0),
                 "vanishing_ratio": vanishing_part / denom,
             }
         )
-    signed_max_ratio = float(max(ratios))
+    signed_max_ratio = float(max(row["vanishing_ratio"] for row in chart_table))
 
     # chart-sum series (measure convention) for the blowup-symmetric cutoff
-    sym_taus = geometric_grid(cfg.tau_min, min(cfg.tau_max, cfg.sym_tau_max), cfg.sym_tau_count)
+    sym_taus = geometric_grid(cfg.tau_min, min(cfg.tau_max, LAB_SYM_TAU_MAX), LAB_SYM_TAU_COUNT)
     sym_series = []
-    for tau in sym_taus:
-        total = 0.0 + 0.0j
-        err = 0.0
-        conv = True
-        for ch in charts:
-            s = chart_parity_integral(
-                d, n, ch.h, sc.chart_weight(ch.index), "absolute",
-                float(tau), tol=cfg.tol, eta=eta, eps=cfg.overlap,
-            )
-            total += s.value
-            err += s.error_estimate
-            conv = conv and s.converged
-        sym_series.append(OscillatorySample(float(tau), total, err, conv))
+    for tau in map(float, sym_taus):
+        parts = per_chart("absolute", tau)
+        sym_series.append(OscillatorySample(
+            tau, sum((s.value for s in parts), 0j), sum((s.error_estimate for s in parts), 0.0),
+            all(s.converged for s in parts),
+        ))
 
     # generic product-bump series over the full tau window
     taus = geometric_grid(cfg.tau_min, cfg.tau_max, cfg.tau_count)
@@ -377,8 +371,11 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
     sweep = []
     for b in (2.0, 1.0, 0.5):
         eta_b = CutoffFunction(b / 2, b)
-        phi_b = TestFunction(nu=(0,) * n, cutoff=eta_b, shape="product")
-        est = fit_leading(_sample_series(f, phi_b, taus, cfg.tol), n_ambient=n)
+        if eta_b == eta:
+            est = gen_fit  # the generic series already samples this cutoff
+        else:
+            phi_b = TestFunction(nu=(0,) * n, cutoff=eta_b, shape="product")
+            est = fit_leading(_sample_series(f, phi_b, taus, cfg.tol), n_ambient=n)
         sweep.append({"radius": b, "alpha_hat": est.alpha_hat, "converged": est.converged})
 
     claims = []
@@ -452,7 +449,7 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
         oracle=oracle,
         support_sweep=tuple(sweep),
         claims=tuple(claims),
-        config=asdict(cfg),
+        config=dict(asdict(cfg), phase=str(f), dim=n),
         series={
             "symmetric": [sample_row(s) for s in sym_series],
             "generic": [sample_row(s) for s in gen_series],

@@ -39,6 +39,10 @@ __all__ = [
     "CoefficientVerdict",
 ]
 
+STABILITY_TOL = 0.1         # bound on |alpha(lower half) - alpha(upper half)| of a converged fit
+RESIDUAL_THRESHOLD = 0.05   # bound on the log-log rms residual of a converged fit
+DECAY_THRESHOLD = -2.0      # slope the cutoff-independence difference must decay at
+
 
 @dataclass(frozen=True)
 class ExponentEstimate:
@@ -90,8 +94,6 @@ def _lsq_alpha(logt: np.ndarray, logm: np.ndarray):
 def fit_leading(
     samples: Sequence[OscillatorySample],
     n_ambient: int = 2,
-    stability_tol: float = 0.1,
-    residual_threshold: float = 0.05,
 ) -> ExponentEstimate:
     """Fit alpha, k and the complex leading coefficient from sampled I(tau)."""
     taus, vals, errs = _usable(samples)
@@ -128,11 +130,11 @@ def fit_leading(
     half = len(taus) // 2
     ah_lo = _lsq_alpha(logt[:half], logm[:half] - best_k * loglog[:half])[0][1]
     ah_hi = _lsq_alpha(logt[half:], logm[half:] - best_k * loglog[half:])[0][1]
-    stable = abs(ah_lo - ah_hi) < stability_tol
+    stable = abs(ah_lo - ah_hi) < STABILITY_TOL
 
     model = taus**alpha * np.log(taus) ** best_k
     coeff = complex(np.mean(vals / model))
-    converged = bool(stable and resid < residual_threshold)
+    converged = bool(stable and resid < RESIDUAL_THRESHOLD)
     return ExponentEstimate(
         alpha_hat=float(alpha), k_hat=int(best_k), coeff_hat=coeff,
         residual=resid, noise_floor=rel_noise, converged=converged,
@@ -263,13 +265,13 @@ def cutoff_independence_check(
     cutoff2: CutoffFunction,
     taus: Sequence[float],
     quad_tol: float = 1e-12,
-    threshold: float = -2.0,
 ) -> DecayReport:
     """Decay slope of |I(tau, x^nu chi1) - I(tau, x^nu chi2)|.
 
     The difference amplitude has empty Taylor expansion at 0, so its
     expansion decays super-polynomially; the measured log-log slope over the
-    samples above the noise floor should be well below the leading exponent.
+    samples above the noise floor should be well below the leading exponent,
+    and the check passes at or below DECAY_THRESHOLD.
     """
     phi1 = TestFunction(nu=tuple(nu), cutoff=cutoff1, shape="product")
     phi2 = TestFunction(nu=tuple(nu), cutoff=cutoff2, shape="product")
@@ -284,11 +286,11 @@ def cutoff_independence_check(
     errs = np.asarray(errs)
     keep = mags > 3 * errs
     if np.count_nonzero(keep) < 3:
-        return DecayReport(slope=float("-inf"), threshold=threshold,
+        return DecayReport(slope=float("-inf"), threshold=DECAY_THRESHOLD,
                            passed=True, vacuous=True, usable_points=int(np.count_nonzero(keep)))
     logt = np.log(taus[keep])
     logm = np.log(mags[keep])
     slope = float(np.polyfit(logt, logm, 1)[0])
-    return DecayReport(slope=slope, threshold=threshold,
-                       passed=bool(slope <= threshold), vacuous=False,
+    return DecayReport(slope=slope, threshold=DECAY_THRESHOLD,
+                       passed=bool(slope <= DECAY_THRESHOLD), vacuous=False,
                        usable_points=int(np.count_nonzero(keep)))

@@ -44,13 +44,13 @@ _MAX_ITERATIONS = 100
 _LAMBDA_MIN = 1e-12     # keeps J^T J + lam I regular along the weight ray
 _LAMBDA_MAX = 1e10      # damping past which a start has stalled
 _COST_FLOOR = 1e-30     # |r|^2 at roundoff: the start has converged
+_TORUS_FLOOR = 1e-3     # starts and iterates keep eps <= |x_i| <= 1/eps
+_WITNESS_THRESHOLD = 1e-12  # bound on |r|^2 at a witness
 
 
 @dataclass(frozen=True)
 class SearchOptions:
     starts: int = 200               # per searched face
-    torus_floor: float = 1e-3       # starts and iterates keep eps <= |x_i| <= 1/eps
-    witness_threshold: float = 1e-12  # bound on |r|^2 at a witness
     seed: int = 0
 
 
@@ -205,7 +205,7 @@ def _check(f: Polynomial, opts: SearchOptions, complex_field: bool,
 
     A, c = _compile([fsig for _, fsig in pairs])
     shape = (len(faces), opts.starts, f.n)
-    box = (log(opts.torus_floor), -log(opts.torus_floor))
+    box = (log(_TORUS_FLOOR), -log(_TORUS_FLOOR))
     rng = np.random.default_rng(opts.seed)
     u0 = rng.uniform(*box, size=shape)
     if complex_field:
@@ -215,7 +215,7 @@ def _check(f: Polynomial, opts: SearchOptions, complex_field: bool,
         extra = _real_sign(A, signs)
     p, cost = _levenberg_marquardt(A, c, u0, extra, complex_field, box)
     total_starts = len(faces) * opts.starts
-    hits = np.argwhere(cost < opts.witness_threshold)
+    hits = np.argwhere(cost < _WITNESS_THRESHOLD)
     if not len(hits):
         return NondegeneracyVerdict(status="likely-nondegenerate", starts=total_starts,
                                     best_residual=float(cost.min(initial=np.inf)))

@@ -142,7 +142,6 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     cfg.write_text(
         "phase = x1^2 + x2^4   # mixed-degree fixture\n"
         "dim = 2\n"
-        "format = json\n"
     )
     code, out, _ = run(capsys, "polytope", "--config", str(cfg))
     assert code == 0
@@ -264,6 +263,9 @@ def test_markdown_lists_the_samples(capsys, tmp_path):
     assert all(r.endswith(" | yes |") and r.count("|") == 7 for r in rows)
     # the same table from the JSON report
     code, text, _ = run(capsys, *args, "--format", "json")
+    # its config records exactly what oscillate read
+    assert set(json.loads(text)["config"]) == {"phase", "dim", "nu", "shape", "cutoff",
+                                               "tau_min", "tau_max", "tau_count", "tol"}
     src = tmp_path / "samples.json"
     src.write_text(text)
     code, out, _ = run(capsys, "report", "--input", str(src), "--format", "md")
@@ -283,25 +285,58 @@ def test_oscillate_markdown_output(capsys, tmp_path):
     assert not (outdir / "samples.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["theorem3-lab", "theorem2-battery"])
-@pytest.mark.parametrize("key,value", [("shape", "radial"), ("nu", "2,2")])
+COMMAND_FLAGS = {
+    "polytope": "phase dim out",
+    "rlct": "phase dim method resolution-data out",
+    "oscillate": "phase dim nu shape cutoff tau-min tau-max tau-count tol out format",
+    "fit": "input phase dim nu shape cutoff tau-min tau-max tau-count tol out",
+    "theorem2-battery": "cutoff tau-min tau-max tau-count tol out format",
+    "theorem3-lab": "phase dim cutoff tau-min tau-max tau-count tol seed out format",
+    "report": "input out format",
+}
+
+
+def test_each_command_takes_exactly_the_flags_it_reads():
+    _, commands = cli._build_parser()
+    assert set(commands) == set(COMMAND_FLAGS)
+    for name, parser in commands.items():
+        flags = {s for action in parser._actions for s in action.option_strings}
+        expected = {f"--{flag}" for flag in COMMAND_FLAGS[name].split()}
+        assert flags == expected | {"-h", "--help", "--config"}, name
+
+
+@pytest.mark.parametrize("key,value,command", [
+    # the battery's fixtures and the lab's series fix their own amplitudes
+    ("shape", "radial", "theorem3-lab"),
+    ("shape", "radial", "theorem2-battery"),
+    ("nu", "2,2", "theorem3-lab"),
+    ("nu", "2,2", "theorem2-battery"),
+    # every other command rejects the flags it does not read as well
+    ("tol", "5", "polytope"),
+    ("format", "csv", "rlct"),
+    ("format", "csv", "fit"),
+    ("phase", "x1^2 + x2^2", "report"),
+    ("phase", "x1^9", "theorem2-battery"),
+    ("seed", "7", "theorem2-battery"),
+    ("dim", "3", "theorem2-battery"),
+])
 def test_amplitude_options_are_usage_errors_for_lab_and_battery(
         capsys, tmp_path, monkeypatch, command, key, value):
-    # both fix their own amplitudes; a --shape or --nu there would be ignored
 
     def no_run(*args, **kwargs):
         raise AssertionError("the command ran before its options were rejected")
 
-    monkeypatch.setattr(cli, "run_theorem3_lab", no_run)
-    monkeypatch.setattr(cli, "run_theorem2_battery", no_run)
-    code, out, err = run(capsys, command, "--phase", "x1^4 + x2^4", f"--{key}", value)
+    monkeypatch.setitem(cli._COMMANDS, command, (no_run, cli._COMMANDS[command][1]))
+    code, out, err = run(capsys, command, f"--{key}", value)
     assert code == 1
     assert out == "" and f"--{key}" in err
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"phase = x1^4 + x2^4\n{key} = {value}\n")
+    # line 1 is a key every command reads; line 2 is the rejected one
+    cfg.write_text(f"out = {tmp_path / 'never'}\n{key} = {value}\n")
     code, out, err = run(capsys, command, "--config", str(cfg))
     assert code == 1
     assert out == "" and ":2:" in err and key in err
+    assert not (tmp_path / "never").exists()
 
 
 def test_oscillate_and_rlct_do_not_import_scipy():

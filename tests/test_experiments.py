@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 from math import pi
 
+import numpy as np
 import pytest
 
+from oscillab import experiments
 from oscillab.experiments import (
     ExperimentConfig,
     HypothesisError,
@@ -14,10 +17,7 @@ from oscillab.experiments import (
 )
 from oscillab.poly import parse
 
-CHEAP_LAB = ExperimentConfig(
-    tau_min=1e2, tau_max=1e3, tau_count=12, tol=1e-9,
-    chart_taus=(1.0, 50.0), sym_tau_max=1e3, sym_tau_count=9,
-)
+CHEAP_LAB = ExperimentConfig(tau_min=1e2, tau_max=1e3, tau_count=12, tol=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +77,8 @@ def test_battery_report_json_shape():
     d = report.to_json_dict()
     assert d["kind"] == "theorem2-battery"
     assert set(d) == {"kind", "version", "passed", "rows", "config", "tolerances"}
+    # the battery reads the tau sweep only: each fixture's dimension is len(nu)
+    assert set(d["config"]) == {"cutoff", "tau_min", "tau_max", "tau_count", "tol"}
     row = d["rows"][0]
     for key in ("label", "rlct_candidate", "alpha_hat", "bound_pair_distance",
                 "bound_radii", "d_pair", "r", "r_prime", "pair_bound_consistent",
@@ -119,6 +121,38 @@ def test_lab_report_structure(lab_report):
         assert key in rep.hypothesis_checks
     assert rep.hypothesis_checks["likely_R_nondegenerate"]
     assert rep.hypothesis_checks["zero_locus_origin_only"]
+    assert set(rep.config) == {"phase", "dim", "cutoff", "tau_min", "tau_max", "tau_count",
+                               "tol", "seed"}
+    assert rep.config["phase"] == "x1^2 + x2^2" and rep.config["dim"] == 2
+
+
+@pytest.mark.parametrize("cutoff,series", [((1.0, 2.0), 3), ((0.6, 1.2), 4)])
+def test_lab_evaluates_each_integral_once(monkeypatch, cutoff, series):
+    calls = {"chart": [], "eval": 0}
+
+    def chart(*args, **kwargs):
+        calls["chart"].append(args[4:6])  # (convention, tau)
+        return chart_parity_integral(*args, **kwargs)
+
+    def evaluate(*args, **kwargs):
+        calls["eval"] += 1
+        return eval_oscillatory(*args, **kwargs)
+
+    chart_parity_integral = experiments.chart_parity_integral
+    eval_oscillatory = experiments.eval_oscillatory
+    monkeypatch.setattr(experiments, "chart_parity_integral", chart)
+    monkeypatch.setattr(experiments, "eval_oscillatory", evaluate)
+    run_theorem3_lab("x1^2 + x2^2", replace(CHEAP_LAB, cutoff=cutoff))
+    # the chart-sum series starts and ends on chart-table taus (100 and 1000)
+    sym_taus = np.geomspace(CHEAP_LAB.tau_min, CHEAP_LAB.tau_max, experiments.LAB_SYM_TAU_COUNT)
+    table = {(conv, tau) for conv in ("signed", "absolute") for tau in experiments.LAB_CHART_TAUS}
+    wanted = table | {("absolute", float(tau)) for tau in sym_taus}
+    assert len(wanted) == len(table) + len(sym_taus) - 2
+    charts = 2
+    assert sorted(set(calls["chart"])) == sorted(wanted)
+    assert len(calls["chart"]) == charts * len(wanted)
+    # the generic series doubles as a support-sweep series on the same cutoff
+    assert calls["eval"] == series * CHEAP_LAB.tau_count
 
 
 def test_lab_measurements(lab_report):
