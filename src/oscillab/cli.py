@@ -2,7 +2,10 @@
 
 Subcommands: polytope, rlct, oscillate, fit, theorem2-battery, theorem3-lab,
 report.  Each takes exactly the flags it reads (see ``oscillab COMMAND -h``);
-any other flag is a usage error.  The same flags may also be given as keys of
+any other flag is a usage error, and so is a flag that the chosen route does
+not read: ``fit --input`` takes no phase, amplitude or sampling flag, the
+resolution route of ``rlct`` no --phase or --dim, and its polytope routes no
+--resolution-data.  The same flags may also be given as keys of
 a key=value config file (--config); explicit flags override file values.
 Exit codes: 0 complete, 1 usage error, 2 numerical non-convergence,
 3 hypothesis failure.
@@ -118,9 +121,10 @@ def _config_value(action: argparse.Action, text: str):
     return value
 
 
-def _resolve(args: argparse.Namespace, command_parser: argparse.ArgumentParser) -> dict:
-    """Merge explicit flags over config-file values over built-in defaults."""
-    merged = dict(_DEFAULTS)
+def _resolve(args: argparse.Namespace, command_parser: argparse.ArgumentParser):
+    """The merged options (explicit flags over config-file values over built-in
+    defaults) and the options given as a flag or a config-file key."""
+    given = {}
     if getattr(args, "config", None):
         actions = {a.dest: a for a in command_parser._actions}
         for lineno, key, text in _load_config_file(args.config):
@@ -128,16 +132,29 @@ def _resolve(args: argparse.Namespace, command_parser: argparse.ArgumentParser) 
             if key in ("command", "config") or key not in vars(args):
                 raise UsageError(f"{where}: unknown key {key!r} for {args.command}")
             try:
-                merged[key] = _config_value(actions[key], text)
+                given[key] = _config_value(actions[key], text)
             except (TypeError, ValueError) as exc:
                 flag = actions[key].option_strings[0]
                 raise UsageError(f"{where}: invalid value {text!r} for {flag}: {exc}") from None
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            merged[key] = value
-    return merged
+    given.update((key, value) for key, value in vars(args).items()
+                 if key not in ("command", "config") and value is not None)
+    return {**_DEFAULTS, **given}, given
+
+
+def _check_route(command: str, given: dict):
+    """Reject a flag that the route the command takes would not read."""
+    method = given.get("method")
+    if command == "fit" and "input" in given:
+        route, ignored = "--input", "phase nu shape cutoff tau_min tau_max tau_count tol"
+    elif command == "rlct" and method in ("homogeneous", "candidate"):
+        route, ignored = f"--method {method}", "resolution_data"
+    elif command == "rlct" and (method == "resolution" or "resolution_data" in given):
+        route, ignored = "the resolution route", "phase dim"
+    else:
+        return
+    bad = [f"--{key.replace('_', '-')}" for key in ignored.split() if key in given]
+    if bad:
+        raise UsageError(f"{' '.join(bad)} cannot be used with {route}")
 
 
 def _ints(text: str) -> tuple:
@@ -294,7 +311,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        opts = _resolve(args, commands[args.command])
+        opts, given = _resolve(args, commands[args.command])
+        _check_route(args.command, given)
         return _COMMANDS[args.command][0](opts)
     except (UsageError, ParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,67 +1,46 @@
-"""Tiny exact linear algebra over Fraction, sized for dimension <= 4 work."""
+"""Tiny exact linear algebra, sized for dimension <= 4 work.
+
+``det`` is the integer determinant that decides the Newton polytope's facets
+by Cramer's rule; ``rank_exact`` eliminates over ``Fraction``.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Sequence
 
-__all__ = ["solve_exact", "rank_exact"]
-
-
-def _echelon(rows: List[List[Fraction]]):
-    """In-place fraction-free-ish Gaussian elimination; returns pivot columns."""
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+__all__ = ["det", "rank_exact"]
 
 
 def rank_exact(matrix: Sequence[Sequence[Fraction]]) -> int:
-    rows = [[Fraction(x) for x in row] for row in matrix if any(x != 0 for x in row)]
-    if not rows:
-        return 0
-    return len(_echelon(rows))
+    """Rank by Gaussian elimination over Fraction."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
-def solve_exact(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
-    """Solve A x = b exactly; returns None when singular or inconsistent.
-
-    Underdetermined consistent systems also return None: callers enumerate
-    full-rank subsets, so a unique solution is required.
-    """
-    m = len(matrix)
-    if m == 0:
-        return None
-    ncols = len(matrix[0])
-    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    pivots = _echelon(rows)
-    # inconsistent: pivot in the rhs column
-    if ncols in pivots:
-        return None
-    if len(pivots) < ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][ncols]
-    return x
+def det(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a nonempty square matrix by cofactor expansion on its first row."""
+    size = len(matrix)
+    if size == 1:
+        return matrix[0][0]
+    if size == 2:
+        (a, b), (c, d) = matrix
+        return a * d - b * c
+    if size == 3:
+        (a, b, c), (d, e, f), (g, h, i) = matrix
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    rest = matrix[1:]
+    return sum(
+        (-1) ** j * a * det([[*row[:j], *row[j + 1:]] for row in rest])
+        for j, a in enumerate(matrix[0]) if a
+    )

@@ -3,8 +3,10 @@
 The polytope of a support set S is the convex hull of the union of the
 shifted orthants nu + R_{>=0}^n over nu in S.  Its H-description is
 {nu >= 0 : l_j(nu) >= 1 for all facets j} where each l_j has nonnegative
-rational weights; facets are found by brute force over subsets of support
-points and coordinate directions, which is exact and adequate at desk scale.
+rational weights.  The facets are the vertices of the dual polyhedron
+{w >= 0 : w.p >= 1 for every minimal support point p}; each candidate vertex
+is decided in integers by Cramer's rule (determinant and numerators of a
+k x k system of support points), and only an accepted one becomes a Fraction.
 Faces are read off the facet-generator incidences.
 """
 
@@ -16,7 +18,7 @@ from itertools import combinations
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import rank_exact, solve_exact
+from .linalg import det, rank_exact
 from .poly import Polynomial
 
 __all__ = [
@@ -114,41 +116,35 @@ def _minimal_points(support) -> List[Tuple[int, ...]]:
 
 
 def _enumerate_facets(minpts: List[Tuple[int, ...]], n: int) -> List[FaceFunctional]:
-    found = {}
+    """The vertices w of Q = {w >= 0 : w.p >= 1 for every minimal point p}.
+
+    A vertex solves w.p = 1 on k points with w_i = 0 off a k-subset ``free``
+    of the coordinates.  With M the points restricted to ``free``, D = det M
+    and N_j the determinant of M with column j replaced by ones, Cramer's rule
+    gives w_j = N_j / D, so integer signs and sums decide w >= 0 and
+    feasibility.  Its n tight constraints are independent, so the tight
+    points and the axes with w_i = 0 span R^n: each vertex is a facet.
+    """
+    found = set()
     for k in range(1, n + 1):
-        for subset in combinations(minpts, k):
-            for zeros in combinations(range(n), n - k):
-                rows = [[Fraction(g[i]) for i in range(n)] for g in subset]
-                rhs = [Fraction(1)] * k
-                for i in zeros:
-                    row = [Fraction(0)] * n
-                    row[i] = Fraction(1)
-                    rows.append(row)
-                    rhs.append(Fraction(0))
-                w = solve_exact(rows, rhs)
-                if w is None or any(x < 0 for x in w):
+        for free in combinations(range(n), k):
+            rows = [tuple(p[i] for i in free) for p in minpts]
+            for m in combinations(rows, k):
+                d = det(m)
+                if d == 0:
                     continue
-                if any(sum(wi * pi for wi, pi in zip(w, p)) < 1 for p in minpts):
+                nums = [det([[*r[:j], 1, *r[j + 1:]] for r in m]) for j in range(k)]
+                if d < 0:
+                    d, nums = -d, [-x for x in nums]
+                if any(x < 0 for x in nums):
                     continue
-                key = tuple(w)
-                if key in found:
+                if any(sum(a * x for a, x in zip(r, nums)) < d for r in rows):
                     continue
-                # facet check: active points plus free coordinate directions
-                # must span an (n-1)-dimensional affine space
-                active = [p for p in minpts if sum(wi * pi for wi, pi in zip(w, p)) == 1]
-                dirs = []
-                for i in range(n):
-                    if w[i] == 0:
-                        e = [Fraction(0)] * n
-                        e[i] = Fraction(1)
-                        dirs.append(e)
-                base = active[0]
-                span = [
-                    [Fraction(pi - bi) for pi, bi in zip(p, base)] for p in active[1:]
-                ] + dirs
-                if n == 1 or rank_exact(span) == n - 1:
-                    found[key] = FaceFunctional.from_weights(w)
-    return list(found.values())
+                w = [Fraction(0)] * n
+                for i, x in zip(free, nums):
+                    w[i] = Fraction(x, d)
+                found.add(tuple(w))
+    return [FaceFunctional.from_weights(w) for w in found]
 
 
 def build_polytope(support) -> NewtonPolytope:

@@ -709,7 +709,8 @@ def eval_oscillatory(
         raise ValueError("require tau >= 0 and tol > 0")
 
     parts = f.axis_parts()
-    if parts is not None and phi.shape == "product":
+    # CutoffFunction is even, so in n = 1 a radial amplitude is the product one
+    if parts is not None and (phi.shape == "product" or f.n == 1):
         polys, const = parts
         values, errors, converged = [], [], True
         for i in range(f.n):
@@ -732,9 +733,6 @@ def eval_oscillatory(
         return OscillatorySample(tau=float(tau), value=complex(value),
                                  error_estimate=float(err), converged=converged)
 
-    if f.n == 1:
-        v, e, conv = _axis_integral(f, phi.nu[0], phi.cutoff, tau, tol, max_panels)
-        return OscillatorySample(float(tau), complex(v), float(e), conv)
     v, e, conv = _tensor_oscillatory(f, phi, phi.cutoff.support_radius(), tau, tol, max_panels)
     return OscillatorySample(float(tau), complex(v), float(e), conv)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .quad import OscillatorySample
 
@@ -153,8 +153,8 @@ def markdown_summary(report: Mapping) -> str:
     return "\n".join(lines)
 
 
-def export_report(report, fmt: str, path: Optional[str] = None) -> str:
-    """Render a report to json, csv, or md text; optionally write it to path."""
+def export_report(report, fmt: str) -> str:
+    """Render a report to json, csv, or md text."""
     if hasattr(report, "to_json_dict"):
         report = report.to_json_dict()
     if fmt == "json":
@@ -172,7 +172,4 @@ def export_report(report, fmt: str, path: Optional[str] = None) -> str:
             raise ValueError("report has no tabular section to export as csv")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
     return text

@@ -339,6 +339,60 @@ def test_amplitude_options_are_usage_errors_for_lab_and_battery(
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize("command,route,key,value", [
+    # fit --input reads the CSV and --dim only
+    ("fit", ["--input", "s.csv"], "phase", "x1^9 + x2^2"),
+    ("fit", ["--input", "s.csv"], "nu", "7,7"),
+    ("fit", ["--input", "s.csv"], "shape", "radial"),
+    ("fit", ["--input", "s.csv"], "cutoff", "1,3"),
+    ("fit", ["--input", "s.csv"], "tau-min", "10"),
+    ("fit", ["--input", "s.csv"], "tau-max", "1e5"),
+    ("fit", ["--input", "s.csv"], "tau-count", "9"),
+    ("fit", ["--input", "s.csv"], "tol", "5"),
+    # the resolution route reads the resolution data only
+    ("rlct", ["--resolution-data", "res.json"], "phase", "x1*x2"),
+    ("rlct", ["--resolution-data", "res.json"], "dim", "3"),
+    ("rlct", ["--method", "resolution", "--resolution-data", "res.json"], "phase", "x1*x2"),
+    # the polytope routes never read the resolution data
+    ("rlct", ["--method", "candidate", "--phase", "x1^4 + x2^4"], "resolution-data", "res.json"),
+    ("rlct", ["--method", "homogeneous", "--phase", "x1^4 + x2^4"], "resolution-data", "res.json"),
+])
+def test_flags_the_chosen_route_ignores_are_usage_errors(
+        capsys, tmp_path, monkeypatch, command, route, key, value):
+    monkeypatch.chdir(tmp_path)
+    Path("s.csv").write_text("tau,re,im,abs,err\n")
+    Path("res.json").write_text('[{"m": 2, "k": 1}]')
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran before its options were rejected")
+
+    monkeypatch.setitem(cli._COMMANDS, command, (no_run, cli._COMMANDS[command][1]))
+    code, out, err = run(capsys, command, *route, f"--{key}", value)
+    assert code == 1
+    assert out == "" and f"--{key}" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, err = run(capsys, command, *route, "--config", str(cfg))
+    assert code == 1
+    assert out == "" and f"--{key}" in err
+
+
+def test_fit_input_reads_dim_and_resolution_route_reads_method(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "oscillate", "--phase", "x1^2 + x2^2", "--tau-min", "100",
+        "--tau-max", "10000", "--tau-count", "12", "--format", "csv",
+    )
+    assert code == 0
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_text(out)
+    code, _, _ = run(capsys, "fit", "--input", str(csv_path), "--dim", "2")
+    assert code == 0
+    data = tmp_path / "res.json"
+    data.write_text('[{"m": 4, "k": 1}]')
+    code, out, _ = run(capsys, "rlct", "--method", "resolution", "--resolution-data", str(data))
+    assert code == 0 and json.loads(out)["value"] == "1/2"
+
+
 def test_oscillate_and_rlct_do_not_import_scipy():
     # scipy is a test dependency only; a fresh interpreter shows what the CLI loads
     code = (

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscillab.poly import parse
-from oscillab.linalg import rank_exact
+from oscillab.linalg import det, rank_exact
 from oscillab.polytope import (
     FaceDescriptor,
     build_polytope,
@@ -252,6 +254,86 @@ def test_compact_faces_of_a_24_facet_chain():
     assert sum(f.dim == 1 for f in faces) == 24
     assert sum(f.dim == 0 for f in faces) == 25
     assert {f.generators for f in faces if f.dim == 0} == {(g,) for g in pts}
+
+
+def test_det_of_small_integer_matrices():
+    assert det([[7]]) == 7
+    assert det([[1, 2], [3, 4]]) == -2
+    assert det([[2, 0, 1], [1, 3, 2], [1, 1, 2]]) == 6
+    assert det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+    m = [[2, 1, 0, 3], [0, 4, 1, 1], [5, 0, 2, 0], [1, 1, 1, 6]]
+    assert det(m) == 140
+    # a row swap flips the sign, and a zero first row gives 0
+    assert det([m[1], m[0], m[2], m[3]]) == -140
+    assert det([[0, 0, 0, 0]] + m[1:]) == 0
+    assert det([tuple(r) for r in m]) == 140
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k),
+                       min_size=k, max_size=k)))
+@settings(max_examples=100, deadline=None)
+def test_det_matches_the_permutation_expansion(m):
+    k = len(m)
+    total = 0
+    for perm in permutations(range(k)):
+        inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(k))
+    assert det(m) == total
+
+
+def _qhull_facets(support):
+    """Facet weights of the Newton polytope from Qhull, verified in Fraction.
+
+    The hull of the minimal points and the far points p + R e_i has every
+    facet of the polytope among its facets; those whose inward normal is
+    >= 0 at a positive level are the polytope's facets, and the rest are
+    coordinate hyperplanes or caps at the far points.
+    """
+    from scipy.spatial import ConvexHull
+
+    pts = sorted(set(support))
+    n = len(pts[0])
+    minpts = [p for p in pts if not any(q != p and all(a <= b for a, b in zip(q, p))
+                                        for q in pts)]
+    far = [tuple(x + 8 * (i == j) for j, x in enumerate(p)) for p in minpts for i in range(n)]
+    hull = ConvexHull(minpts + far)
+    weights = set()
+    for eq in hull.equations:
+        normal, level = -eq[:-1], eq[-1]
+        if level <= 1e-9 or normal.min() < -1e-9:
+            continue
+        w = tuple(F(float(x / level)).limit_denominator(10**6) for x in normal)
+        values = [sum(a * b for a, b in zip(w, p)) for p in minpts]
+        assert min(values) == 1, (w, values)
+        tight = [p for p, v in zip(minpts, values) if v == 1]
+        axes = [tuple(int(j == i) for j in range(n)) for i in range(n) if w[i] == 0]
+        assert rank_exact(tight + axes) == n, w
+        weights.add(w)
+    return sorted(weights)
+
+
+@st.composite
+def oracle_supports(draw):
+    n = draw(st.integers(2, 4))
+    point = st.tuples(*[st.integers(0, 6)] * n)
+    pts = draw(st.lists(point, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        # pure powers make the support convenient
+        pts += [tuple(draw(st.integers(1, 8)) if j == i else 0 for j in range(n))
+                for i in range(n)]
+    if draw(st.booleans()):
+        # a dominated point, and the rounded-up centroid, which lies in the polytope
+        pts.append(tuple(x + 1 for x in pts[0]))
+        pts.append(tuple(-(-sum(c) // len(pts)) for c in zip(*pts)))
+    return pts
+
+
+@given(oracle_supports())
+@settings(max_examples=150, deadline=None)
+def test_facets_match_qhull_oracle(support):
+    p = build_polytope(support)
+    assert [f.weights for f in p.facets] == _qhull_facets(support)
 
 
 def test_json_shape():

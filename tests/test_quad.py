@@ -229,7 +229,7 @@ def test_zero_axis_and_constant_term_match_dense_reference(tau):
     ref = _dense_axis_reference("x1^4", tau)[0] * _dense_axis_reference("0", tau)[2]
     assert s.converged
     assert abs(s.value - ref) <= 1e-10
-    # n = 1 radial: the constant stays inside the axis polynomial
+    # n = 1 radial: the separable route, with the constant factored out
     phi = TestFunction(nu=(0,), cutoff=ETA, shape="radial")
     s = eval_oscillatory(parse("x1^2 + x1^4 + 3", 1), phi, tau, tol=1e-10)
     assert s.converged
