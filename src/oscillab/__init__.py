@@ -41,6 +41,7 @@ from .quad import (
     chart_parity_integral,
     erdelyi_leading,
     eval_oscillatory,
+    eval_oscillatory_series,
     radial_reduce,
 )
 from .rlct import (

@@ -29,7 +29,7 @@ from .experiments import (
 )
 from .fit import fit_leading, geometric_grid
 from .poly import ParseError, parse
-from .quad import QuadratureBudgetError, eval_oscillatory
+from .quad import QuadratureBudgetError, eval_oscillatory_series
 from .reports import canonical_json, export_report, sample_row, samples_from_csv
 from .rlct import (
     gamma_from_resolution,
@@ -232,7 +232,7 @@ def _cmd_oscillate(opts: dict) -> int:
     f = parse(opts["phase"], opts["dim"])
     phi = _make_amplitude(opts)
     taus = geometric_grid(opts["tau_min"], opts["tau_max"], opts["tau_count"])
-    samples = [eval_oscillatory(f, phi, float(t), tol=opts["tol"]) for t in taus]
+    samples = eval_oscillatory_series(f, phi, taus, tol=opts["tol"])
     payload = {
         "kind": "oscillate",
         "version": __version__,
@@ -256,7 +256,7 @@ def _cmd_fit(opts: dict) -> int:
         f = parse(opts["phase"], opts["dim"])
         phi = _make_amplitude(opts)
         taus = geometric_grid(opts["tau_min"], opts["tau_max"], opts["tau_count"])
-        samples = [eval_oscillatory(f, phi, float(t), tol=opts["tol"]) for t in taus]
+        samples = eval_oscillatory_series(f, phi, taus, tol=opts["tol"])
         n_ambient = f.n
     est = fit_leading(samples, n_ambient=n_ambient)
     _emit(canonical_json(est.to_json_dict()), opts, "fit.json")

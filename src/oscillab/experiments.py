@@ -25,7 +25,7 @@ from .quad import (
     OscillatorySample,
     chart_parity_integral,
     erdelyi_leading,
-    eval_oscillatory,
+    eval_oscillatory_series,
 )
 from .reports import export_report, sample_row
 from .rlct import blowup_charts, rlct_newton_candidate
@@ -69,10 +69,6 @@ class ExperimentConfig:
     tau_count: int = 24
     tol: float = 1e-10
     seed: int = 0                               # the lab's nondegeneracy search
-
-
-def _sample_series(f: Polynomial, phi: TestFunction, taus, tol: float) -> List[OscillatorySample]:
-    return [eval_oscillatory(f, phi, float(t), tol=tol) for t in taus]
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +117,7 @@ def run_theorem2_battery(
     for phase_text, nu in fixtures:
         f = parse(phase_text, len(nu))
         phi = TestFunction(nu=tuple(nu), cutoff=CutoffFunction(*cfg.cutoff), shape="product")
-        samples = _sample_series(f, phi, taus, cfg.tol)
+        samples = eval_oscillatory_series(f, phi, taus, cfg.tol)
         poly = newton_polytope(f)
         report = check_theorem2(f, phi, samples, tolerance=BOUND_TOLERANCE, polytope=poly)
         rlct = rlct_newton_candidate(f, nondegen_opts=None, polytope=poly)
@@ -355,7 +351,7 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
     # generic product-bump series over the full tau window
     taus = geometric_grid(cfg.tau_min, cfg.tau_max, cfg.tau_count)
     phi = TestFunction(nu=(0,) * n, cutoff=eta, shape="product")
-    gen_series = _sample_series(f, phi, taus, cfg.tol)
+    gen_series = eval_oscillatory_series(f, phi, taus, cfg.tol)
 
     sym_fit = fit_leading(sym_series, n_ambient=n)
     gen_fit = fit_leading(gen_series, n_ambient=n)
@@ -375,7 +371,7 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
             est = gen_fit  # the generic series already samples this cutoff
         else:
             phi_b = TestFunction(nu=(0,) * n, cutoff=eta_b, shape="product")
-            est = fit_leading(_sample_series(f, phi_b, taus, cfg.tol), n_ambient=n)
+            est = fit_leading(eval_oscillatory_series(f, phi_b, taus, cfg.tol), n_ambient=n)
         sweep.append({"radius": b, "alpha_hat": est.alpha_hat, "converged": est.converged})
 
     claims = []

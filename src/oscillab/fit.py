@@ -25,7 +25,7 @@ from .polytope import (
     newton_polytope,
     pair_distance_and_radii,
 )
-from .quad import OscillatorySample, eval_oscillatory
+from .quad import OscillatorySample, eval_oscillatory_series
 
 __all__ = [
     "ExponentEstimate",
@@ -275,15 +275,11 @@ def cutoff_independence_check(
     """
     phi1 = TestFunction(nu=tuple(nu), cutoff=cutoff1, shape="product")
     phi2 = TestFunction(nu=tuple(nu), cutoff=cutoff2, shape="product")
-    diffs, errs = [], []
-    for tau in taus:
-        s1 = eval_oscillatory(f, phi1, tau, tol=quad_tol)
-        s2 = eval_oscillatory(f, phi2, tau, tol=quad_tol)
-        diffs.append(s1.value - s2.value)
-        errs.append(s1.error_estimate + s2.error_estimate)
-    taus = np.asarray(list(taus), dtype=float)
-    mags = np.abs(np.asarray(diffs))
-    errs = np.asarray(errs)
+    taus = np.asarray(taus, dtype=float)
+    series1 = eval_oscillatory_series(f, phi1, taus, tol=quad_tol)
+    series2 = eval_oscillatory_series(f, phi2, taus, tol=quad_tol)
+    mags = np.abs(np.array([s1.value - s2.value for s1, s2 in zip(series1, series2)]))
+    errs = np.array([s1.error_estimate + s2.error_estimate for s1, s2 in zip(series1, series2)])
     keep = mags > 3 * errs
     if np.count_nonzero(keep) < 3:
         return DecayReport(slope=float("-inf"), threshold=DECAY_THRESHOLD,

@@ -3,9 +3,10 @@
 Separable phases reduce to one-dimensional axis integrals, which Filon-type
 rules evaluate at a cost that does not grow with tau: pure powers through the
 batched profile ``oscillatory_profile``, every other axis polynomial through
-the substitution w = |p(x) - p(x0)| on its monotone pieces.  Other phases go
-to tensor-product Gauss grids whose panels each hold a bounded number of
-oscillation wavelengths.  Homogeneous phases with radial amplitudes reduce
+the substitution w = |p(x) - p(x0)| on its monotone pieces.  A tau series
+(``eval_oscillatory_series``) shares one profile call per pure-power axis
+across all of its taus.  Other phases go to tensor-product Gauss grids whose
+panels each hold a bounded number of oscillation wavelengths.  Homogeneous phases with radial amplitudes reduce
 to sphere integrals of the profile (``radial_reduce``), cut in n = 2 at the
 exact zeros of the phase on the circle.  Every error estimate compares
 successive refinement levels through one rule, ``_refine``.  Estimates are
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, gamma, pi, prod
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -32,6 +33,7 @@ __all__ = [
     "QuadratureBudgetError",
     "erdelyi_leading",
     "eval_oscillatory",
+    "eval_oscillatory_series",
     "radial_reduce",
     "chart_parity_integral",
 ]
@@ -233,6 +235,7 @@ _MOMENT_NODES = 40
 _MOMENT_BLOCK = 1 << 16  # thetas per block of per-panel moments
 _HEAD_PHASE = 40.0  # phase run below which a head is integrated in y or x space
 _LEVELS = (48, 96, 192, 384, 768)  # Filon panels per grid, doubled level by level
+_ROUNDOFF = 4 * np.finfo(float).eps  # error floor per unit of absolute integrand sum
 
 
 @lru_cache(maxsize=None)
@@ -336,11 +339,12 @@ def _filon_moment_sum(ts: np.ndarray, edges: np.ndarray, coeffs: np.ndarray) -> 
     return out
 
 
-def _filon_integral(ts: np.ndarray, edges: np.ndarray, gfun) -> np.ndarray:
-    """int e^{itu} g(u) du over the union of panels, batched over ts."""
-    nodes, _ = _composite(edges, _FILON_ORDER)
-    coeffs = gfun(nodes).reshape(-1, _FILON_ORDER) @ _filon_projection(_FILON_ORDER).T
-    return _filon_moment_sum(ts, edges, coeffs)
+def _filon_integral(ts: np.ndarray, edges: np.ndarray, gfun):
+    """int e^{itu} g(u) du over the union of panels, batched over ts, and int |g| du."""
+    nodes, weights = _composite(edges, _FILON_ORDER)
+    g = gfun(nodes)
+    coeffs = g.reshape(-1, _FILON_ORDER) @ _filon_projection(_FILON_ORDER).T
+    return _filon_moment_sum(ts, edges, coeffs), float(np.dot(np.abs(g), weights))
 
 
 def _oscillatory_head(ts: np.ndarray, d: int, npow: int, a: float) -> np.ndarray:
@@ -400,7 +404,7 @@ def _halfline_profile(ts: np.ndarray, d: int, npow: int, eta: CutoffFunction, to
         graded = u0 * np.linspace(0.0, 1.0, m + 1) ** 3
         return np.concatenate([graded[:-1], uniform])
 
-    levels = ((head + _filon_integral(ts, panel_edges(m), gfun), 0.0) for m in _LEVELS)
+    levels = ((head + _filon_integral(ts, panel_edges(m), gfun)[0], 0.0) for m in _LEVELS)
     vals, errs, _ = _refine(levels, tol)
     return vals, errs
 
@@ -521,7 +525,9 @@ def _axis_filon(p: Polynomial, power: int, eta: CutoffFunction, tau: float, tol:
     """int_{-b}^{b} e^{i tau p(x)} x^power eta(x) dx for any p, at a cost independent of tau.
 
     Levels double the head and Filon panels together and stop by ``_refine``;
-    the levels that fit ``max_panels`` run, and at least two must fit.
+    the levels that fit ``max_panels`` run, and at least two must fit.  Each
+    level's error is floored at ``_ROUNDOFF`` times its absolute integrand
+    sum, so that levels which agree to the last bit do not read as exact.
     """
     even, segments = _axis_segments(p, eta.support_radius())
     if even and power % 2:
@@ -550,11 +556,12 @@ def _axis_filon(p: Polynomial, power: int, eta: CutoffFunction, tau: float, tol:
         raise QuadratureBudgetError(f"axis grid needs {counts[1]} panels, budget is {max_panels}")
 
     def value(plan):
-        total = 0j
+        total, size = 0j, 0.0
         for seg, (head, tail) in zip(segments, plan):
             s, wt = _composite(head, 24)
-            part = np.dot(np.exp(1j * tau * seg.sign * polyval(s, seg.q))
-                          * amp(seg.x0 + seg.direction * s), wt)
+            g = amp(seg.x0 + seg.direction * s)
+            part = np.dot(np.exp(1j * tau * seg.sign * polyval(s, seg.q)) * g, wt)
+            size += float(np.dot(np.abs(g), wt))
             if tail is not None:
 
                 def G(w, seg=seg):
@@ -564,31 +571,60 @@ def _axis_filon(p: Polynomial, power: int, eta: CutoffFunction, tau: float, tol:
                     # 0 where eta has underflowed, also at a critical end +-b
                     return np.divide(g, slope, out=np.zeros_like(g), where=g != 0)
 
-                F = _filon_integral(np.array([float(tau)]), tail, G)[0]
-                part += F if seg.sign > 0 else np.conj(F)
+                F, tail_size = _filon_integral(np.array([float(tau)]), tail, G)
+                part += F[0] if seg.sign > 0 else np.conj(F[0])
+                size += tail_size
             total += np.exp(1j * tau * seg.p0) * part
-        return 2.0 * total if even else total
+        return (2.0 * total, 2.0 * _ROUNDOFF * size) if even else (total, _ROUNDOFF * size)
 
     fits = (plan for plan, count in zip(plans, counts) if count <= max_panels)
-    return _refine(((value(plan), 0.0) for plan in fits), tol)
+    return _refine(map(value, fits), tol)
 
 
 def _axis_integral(
     poly1d: Polynomial,
     power: int,
     eta: CutoffFunction,
-    tau: float,
+    taus: np.ndarray,
     tol: float,
     max_panels: int,
 ):
-    """(value, err, converged) of int e^{i tau p(x)} x^power eta(x) dx over the full line."""
+    """[(value, err, converged)] of int e^{i tau p(x)} x^power eta(x) dx over the full line, per tau.
+
+    A pure power is one batched profile call over all of ``taus``; any other
+    axis polynomial goes through ``_axis_filon`` once per tau, because its
+    head and grids depend on tau.
+    """
     if len(poly1d.terms) == 1 and (0,) not in poly1d.terms:
-        # pure-power phase: the Filon profile evaluator is tau-independent
         ((dexp,), coeff), = poly1d.terms.items()
-        vals, errs = oscillatory_profile([tau * float(coeff)], dexp, power, eta, tol=tol,
+        vals, errs = oscillatory_profile(taus * float(coeff), dexp, power, eta, tol=tol,
                                          full_line=True, absolute=False)
-        return complex(vals[0]), float(errs[0]), bool(errs[0] <= tol)
-    return _axis_filon(poly1d, power, eta, tau, tol, max_panels)
+        return [(complex(v), float(e), bool(e <= tol)) for v, e in zip(vals, errs)]
+    return [_axis_filon(poly1d, power, eta, float(tau), tol, max_panels) for tau in taus]
+
+
+def _separable_series(f: Polynomial, phi: TestFunction, parts, taus: np.ndarray, tol: float,
+                      max_panels: int) -> List[OscillatorySample]:
+    """Samples of a separable phase: every axis over all of ``taus``, then one product per tau."""
+    polys, const = parts
+    axes = [_axis_integral(polys[i], phi.nu[i], phi.cutoff, taus, tol / (4 * f.n), max_panels)
+            for i in range(f.n)]
+    samples = []
+    for tau, per_axis in zip(map(float, taus), zip(*axes)):
+        values, errors, flags = zip(*per_axis)
+        value = np.exp(1j * tau * float(const))
+        for v in values:
+            value = value * v
+        err = 0.0
+        for i in range(f.n):
+            others = 1.0
+            for j in range(f.n):
+                if j != i:
+                    others *= abs(values[j])
+            err += errors[i] * others
+        samples.append(OscillatorySample(tau=tau, value=complex(value),
+                                         error_estimate=float(err), converged=all(flags)))
+    return samples
 
 
 def _gradient_bound_1d(f: Polynomial, i: int, radius: float):
@@ -685,6 +721,19 @@ def _tensor_oscillatory(
     return _refine(levels, tol)
 
 
+def _separable_parts(f: Polynomial, phi: TestFunction, taus: np.ndarray, tol: float):
+    """Check the arguments; return f's axis parts when the separable route applies, else None."""
+    if f.n != phi.n:
+        raise ValueError("phase and amplitude dimensions differ")
+    if f.n > 3:
+        raise ValueError("oscillatory quadrature supports n <= 3")
+    if np.any(taus < 0) or tol <= 0:
+        raise ValueError("require tau >= 0 and tol > 0")
+    parts = f.axis_parts()
+    # CutoffFunction is even, so in n = 1 a radial amplitude is the product one
+    return parts if parts is not None and (phi.shape == "product" or f.n == 1) else None
+
+
 def eval_oscillatory(
     f: Polynomial,
     phi: TestFunction,
@@ -701,40 +750,35 @@ def eval_oscillatory(
     pieces.  Everything else goes through tensor-product quadrature
     (n <= 3) with a panel-doubling error estimate.
     """
-    if f.n != phi.n:
-        raise ValueError("phase and amplitude dimensions differ")
-    if f.n > 3:
-        raise ValueError("oscillatory quadrature supports n <= 3")
-    if tau < 0 or tol <= 0:
-        raise ValueError("require tau >= 0 and tol > 0")
-
-    parts = f.axis_parts()
-    # CutoffFunction is even, so in n = 1 a radial amplitude is the product one
-    if parts is not None and (phi.shape == "product" or f.n == 1):
-        polys, const = parts
-        values, errors, converged = [], [], True
-        for i in range(f.n):
-            v, e, conv = _axis_integral(
-                polys[i], phi.nu[i], phi.cutoff, tau, tol / (4 * f.n), max_panels
-            )
-            values.append(v)
-            errors.append(e)
-            converged = converged and conv
-        value = np.exp(1j * tau * float(const))
-        for v in values:
-            value = value * v
-        err = 0.0
-        for i in range(f.n):
-            others = 1.0
-            for j in range(f.n):
-                if j != i:
-                    others *= abs(values[j])
-            err += errors[i] * others
-        return OscillatorySample(tau=float(tau), value=complex(value),
-                                 error_estimate=float(err), converged=converged)
-
+    taus = np.array([tau], dtype=float)
+    parts = _separable_parts(f, phi, taus, tol)
+    if parts is not None:
+        return _separable_series(f, phi, parts, taus, tol, max_panels)[0]
     v, e, conv = _tensor_oscillatory(f, phi, phi.cutoff.support_radius(), tau, tol, max_panels)
     return OscillatorySample(float(tau), complex(v), float(e), conv)
+
+
+def eval_oscillatory_series(
+    f: Polynomial,
+    phi: TestFunction,
+    taus,
+    tol: float = 1e-8,
+    max_panels: int = DEFAULT_MAX_PANELS,
+) -> List[OscillatorySample]:
+    """``eval_oscillatory`` at every tau of ``taus``, in order.
+
+    The arguments are checked before any work.  On the separable route each
+    pure-power axis is one batched profile call over all taus, refined until
+    the largest error of the batch meets the axis tolerance; so a tau may run
+    one level finer than it would alone.  Each sample is converged when its
+    own axis errors meet that tolerance.  Every other phase is a loop over
+    ``eval_oscillatory``.
+    """
+    taus = np.asarray(taus, dtype=float).reshape(-1)
+    parts = _separable_parts(f, phi, taus, tol)
+    if parts is not None:
+        return _separable_series(f, phi, parts, taus, tol, max_panels)
+    return [eval_oscillatory(f, phi, tau, tol, max_panels) for tau in map(float, taus)]
 
 
 # ---------------------------------------------------------------------------

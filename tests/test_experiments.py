@@ -128,20 +128,20 @@ def test_lab_report_structure(lab_report):
 
 @pytest.mark.parametrize("cutoff,series", [((1.0, 2.0), 3), ((0.6, 1.2), 4)])
 def test_lab_evaluates_each_integral_once(monkeypatch, cutoff, series):
-    calls = {"chart": [], "eval": 0}
+    calls = {"chart": [], "series": []}
 
     def chart(*args, **kwargs):
         calls["chart"].append(args[4:6])  # (convention, tau)
         return chart_parity_integral(*args, **kwargs)
 
-    def evaluate(*args, **kwargs):
-        calls["eval"] += 1
-        return eval_oscillatory(*args, **kwargs)
+    def evaluate(f, phi, taus, *args, **kwargs):
+        calls["series"].append(len(taus))
+        return eval_oscillatory_series(f, phi, taus, *args, **kwargs)
 
     chart_parity_integral = experiments.chart_parity_integral
-    eval_oscillatory = experiments.eval_oscillatory
+    eval_oscillatory_series = experiments.eval_oscillatory_series
     monkeypatch.setattr(experiments, "chart_parity_integral", chart)
-    monkeypatch.setattr(experiments, "eval_oscillatory", evaluate)
+    monkeypatch.setattr(experiments, "eval_oscillatory_series", evaluate)
     run_theorem3_lab("x1^2 + x2^2", replace(CHEAP_LAB, cutoff=cutoff))
     # the chart-sum series starts and ends on chart-table taus (100 and 1000)
     sym_taus = np.geomspace(CHEAP_LAB.tau_min, CHEAP_LAB.tau_max, experiments.LAB_SYM_TAU_COUNT)
@@ -151,8 +151,9 @@ def test_lab_evaluates_each_integral_once(monkeypatch, cutoff, series):
     charts = 2
     assert sorted(set(calls["chart"])) == sorted(wanted)
     assert len(calls["chart"]) == charts * len(wanted)
-    # the generic series doubles as a support-sweep series on the same cutoff
-    assert calls["eval"] == series * CHEAP_LAB.tau_count
+    # one series call per cutoff, each over the whole tau window; the generic
+    # series doubles as a support-sweep series on the same cutoff
+    assert calls["series"] == [CHEAP_LAB.tau_count] * series
 
 
 def test_lab_measurements(lab_report):

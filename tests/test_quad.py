@@ -8,11 +8,13 @@ from scipy.special import spherical_jn
 from oscillab.bump import SymmetricCutoff, TestFunction, make_cutoff
 from oscillab.fit import geometric_grid
 from oscillab.poly import Polynomial, circle_zeros, parse
+from oscillab import quad
 from oscillab.quad import (
     QuadratureBudgetError,
     chart_parity_integral,
     erdelyi_leading,
     eval_oscillatory,
+    eval_oscillatory_series,
     oscillatory_profile,
     oscillatory_profile_reference,
     _FILON_ORDER,
@@ -236,6 +238,16 @@ def test_zero_axis_and_constant_term_match_dense_reference(tau):
     assert abs(s.value - _dense_axis_reference("x1^2 + x1^4 + 3", tau)[0]) <= 1e-10
 
 
+@pytest.mark.parametrize("tau", [1.0, 100.0])
+def test_constant_axis_error_is_floored_at_roundoff(tau):
+    # both head levels agree to the last bit here; the value does not
+    s = eval_oscillatory(parse("0*x1 + 1", 1), TestFunction(nu=(0,), cutoff=ETA), tau, tol=1e-10)
+    err = abs(s.value - _dense_axis_reference("0*x1 + 1", tau)[0])
+    assert s.converged
+    assert s.error_estimate >= err
+    assert 0.0 < s.error_estimate <= 1e-14
+
+
 def test_odd_amplitude_on_even_axis_vanishes():
     s = eval_oscillatory(parse("x1^2 + x1^4", 1), TestFunction(nu=(1,), cutoff=ETA), 300.0)
     assert s.value == 0.0 and s.converged
@@ -345,6 +357,63 @@ def test_eval_oscillatory_validation():
         eval_oscillatory(parse("x1^2", 1), phi, 10.0)
     with pytest.raises(ValueError):
         eval_oscillatory(parse("x1^2 + x2^2", 2), phi, -1.0)
+
+
+# -- tau series ------------------------------------------------------------------
+
+SEPARABLE_ROUTES = [
+    ("x1^4 + 2*x2^6", (0, 2), "product"),      # pure powers
+    ("x1^2 + x1^4 + x2^4", (2, 0), "product"),  # a multi-term axis
+    ("x1^4", (0, 2), "product"),                # a zero axis
+    ("x1^4 + 3*x2^2 + 5", (0, 0), "product"),   # a constant term
+    ("x1^2 + x1^4 + 3", (0,), "radial"),        # n = 1 radial
+    ("x1^2 + x1^4", (1,), "product"),           # odd amplitude on an even axis
+    ("x1^4 + x2^6", (1, 0), "product"),         # and on an even pure power
+]
+
+
+@pytest.mark.parametrize("phase,nu,shape", SEPARABLE_ROUTES)
+def test_series_matches_per_tau_samples_on_separable_routes(phase, nu, shape):
+    f = parse(phase, len(nu))
+    phi = TestFunction(nu=nu, cutoff=ETA, shape=shape)
+    taus = np.concatenate([[0.0, 1.0], geometric_grid(1e2, 1e4, 8)])
+    tol = 1e-10
+    series = eval_oscillatory_series(f, phi, taus, tol=tol)
+    assert [s.tau for s in series] == list(taus)
+    for s in series:
+        alone = eval_oscillatory(f, phi, s.tau, tol=tol)
+        assert abs(s.value - alone.value) <= tol
+        assert s.converged == alone.converged
+
+
+def test_series_on_the_tensor_route_is_the_per_tau_loop():
+    f = parse("x1^2 + x1*x2 + x2^4", 2)
+    phi = TestFunction(nu=(0, 0), cutoff=ETA)
+    taus = [1.0, 5.0, 20.0]
+    assert eval_oscillatory_series(f, phi, taus, tol=1e-8) == [
+        eval_oscillatory(f, phi, tau, tol=1e-8) for tau in taus]
+
+
+@pytest.mark.parametrize("phase,shape", [("x1^4 + x2^2 + x2^4", "product"),
+                                         ("x1^2 + x1*x2 + x2^4", "product"),
+                                         ("x1^4 + x2^4", "radial")])
+def test_series_rejects_a_negative_tau_before_any_work(monkeypatch, phase, shape):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the arguments were checked")
+
+    phi = TestFunction(nu=(0, 0), cutoff=ETA, shape=shape)
+    assert eval_oscillatory_series(parse(phase, 2), phi, []) == []
+    for name in ("oscillatory_profile", "_axis_filon", "_tensor_oscillatory"):
+        monkeypatch.setattr(quad, name, no_work)
+    with pytest.raises(ValueError):
+        eval_oscillatory_series(parse(phase, 2), phi, [10.0, 100.0, -1.0])
+
+
+def test_series_raises_the_axis_budget_error():
+    phi = TestFunction(nu=(0,), cutoff=ETA)
+    with pytest.raises(QuadratureBudgetError, match="axis grid needs"):
+        eval_oscillatory_series(parse("x1^2 + x1", 1), phi, [1.0, 1.0e9], tol=1e-10,
+                                max_panels=64)
 
 
 def test_budget_error():
