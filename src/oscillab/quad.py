@@ -1,17 +1,25 @@
 """Oscillatory quadrature for e^{i tau f(x)} amplitudes.
 
-Separable phases reduce to one-dimensional axis integrals, which Filon-type
-rules evaluate at a cost that does not grow with tau: pure powers through the
-batched profile ``oscillatory_profile``, every other axis polynomial through
-the substitution w = |p(x) - p(x0)| on its monotone pieces.  A tau series
-(``eval_oscillatory_series``) shares one profile call per pure-power axis
-across all of its taus.  Other phases go to tensor-product Gauss grids whose
-panels each hold a bounded number of oscillation wavelengths.  Homogeneous phases with radial amplitudes reduce
-to sphere integrals of the profile (``radial_reduce``), cut in n = 2 at the
-exact zeros of the phase on the circle.  Every error estimate compares
-successive refinement levels through one rule, ``_refine``.  Estimates are
-heuristic diagnostics, not certified bounds.  All accumulation orders are
-deterministic, so results are reproducible.
+``eval_oscillatory`` tries three routes, in this order:
+
+1. Separable: an additively separable phase with a product amplitude, or any
+   phase in n = 1, reduces to one-dimensional axis integrals, which
+   Filon-type rules evaluate at a cost that does not grow with tau: pure
+   powers through the batched profile ``oscillatory_profile``, every other
+   axis polynomial through the substitution w = |p(x) - p(x0)| on its
+   monotone pieces.  A tau series (``eval_oscillatory_series``) shares one
+   profile call per pure-power axis across all of its taus.
+2. Radial: a homogeneous phase of degree >= 1 in n = 2 with a radial
+   amplitude reduces to a circle integral of the profile
+   (``radial_reduce``), cut at the exact zeros of the phase on the circle.
+3. Tensor: everything else goes to tensor-product Gauss grids whose panels
+   each hold a bounded number of oscillation wavelengths (n <= 3).
+
+``radial_reduce`` also takes n = 3 on the sphere, but only when called
+directly.  Every error estimate compares successive refinement levels
+through one rule, ``_refine``.  Estimates are heuristic diagnostics, not
+certified bounds.  All accumulation orders are deterministic, so results
+are reproducible.
 """
 
 from __future__ import annotations
@@ -743,17 +751,26 @@ def eval_oscillatory(
 ) -> OscillatorySample:
     """I(tau, phi) = int exp(i tau f(x)) phi(x) dx over the support of phi.
 
-    Additively separable phases with product-shape amplitudes, and every
-    phase in n = 1, factor into one-dimensional axis integrals on Filon
-    routes whose cost does not grow with tau: pure powers through the
-    profile evaluator, any other axis polynomial through its monotone
-    pieces.  Everything else goes through tensor-product quadrature
-    (n <= 3) with a panel-doubling error estimate.
+    The routes are tried in this order:
+
+    1. separable: an additively separable phase with a product-shape
+       amplitude, or any phase in n = 1, factors into one-dimensional axis
+       integrals on Filon routes whose cost does not grow with tau (pure
+       powers through the profile evaluator, any other axis polynomial
+       through its monotone pieces);
+    2. radial: a homogeneous phase of degree >= 1 in n = 2 with a radial
+       amplitude goes to ``radial_reduce``.  ``max_panels`` does not apply
+       on this route, and a sample it does not converge is returned as
+       such, never retried on the tensor grid;
+    3. tensor: everything else goes through tensor-product quadrature
+       (n <= 3) with a panel-doubling error estimate.
     """
     taus = np.array([tau], dtype=float)
     parts = _separable_parts(f, phi, taus, tol)
     if parts is not None:
         return _separable_series(f, phi, parts, taus, tol, max_panels)[0]
+    if f.n == 2 and phi.shape == "radial" and f.terms and (f.homogeneous_degree() or 0) >= 1:
+        return radial_reduce(f, phi, tau, tol)
     v, e, conv = _tensor_oscillatory(f, phi, phi.cutoff.support_radius(), tau, tol, max_panels)
     return OscillatorySample(float(tau), complex(v), float(e), conv)
 
@@ -767,12 +784,13 @@ def eval_oscillatory_series(
 ) -> List[OscillatorySample]:
     """``eval_oscillatory`` at every tau of ``taus``, in order.
 
-    The arguments are checked before any work.  On the separable route each
-    pure-power axis is one batched profile call over all taus, refined until
-    the largest error of the batch meets the axis tolerance; so a tau may run
-    one level finer than it would alone.  Each sample is converged when its
-    own axis errors meet that tolerance.  Every other phase is a loop over
-    ``eval_oscillatory``.
+    The arguments are checked before any work.  The routes are those of
+    ``eval_oscillatory``, tried in the same order.  On the separable route
+    each pure-power axis is one batched profile call over all taus, refined
+    until the largest error of the batch meets the axis tolerance; so a tau
+    may run one level finer than it would alone.  Each sample is converged
+    when its own axis errors meet that tolerance.  The radial and tensor
+    routes are a loop over ``eval_oscillatory``.
     """
     taus = np.asarray(taus, dtype=float).reshape(-1)
     parts = _separable_parts(f, phi, taus, tol)

@@ -377,6 +377,17 @@ def test_flags_the_chosen_route_ignores_are_usage_errors(
     assert out == "" and f"--{key}" in err
 
 
+def test_oscillate_radial_mixed_term_phase_takes_the_circle_route(capsys):
+    # over the default tau window the tensor grid would need 1052676 panels
+    code, out, err = run(capsys, "oscillate", "--phase", "x1^4 + x1^2*x2^2 + x2^4",
+                         "--shape", "radial", "--format", "json")
+    assert code == 0, err
+    samples = json.loads(out)["samples"]
+    assert len(samples) == 24
+    assert samples[0]["tau"] == 100.0 and samples[-1]["tau"] == 10000.0
+    assert all(s["converged"] for s in samples)
+
+
 def test_fit_input_reads_dim_and_resolution_route_reads_method(capsys, tmp_path):
     code, out, _ = run(
         capsys, "oscillate", "--phase", "x1^2 + x2^2", "--tau-min", "100",

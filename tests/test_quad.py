@@ -10,6 +10,8 @@ from oscillab.fit import geometric_grid
 from oscillab.poly import Polynomial, circle_zeros, parse
 from oscillab import quad
 from oscillab.quad import (
+    DEFAULT_MAX_PANELS,
+    OscillatorySample,
     QuadratureBudgetError,
     chart_parity_integral,
     erdelyi_leading,
@@ -24,6 +26,14 @@ from oscillab.quad import (
 )
 
 ETA = make_cutoff(1.0, 2.0)
+
+
+def _tensor(f, phi, tau, tol):
+    """The tensor route alone: ``eval_oscillatory`` sends homogeneous n = 2
+    phases with radial amplitudes to ``radial_reduce``."""
+    v, e, conv = quad._tensor_oscillatory(f, phi, phi.cutoff.support_radius(), tau, tol,
+                                          DEFAULT_MAX_PANELS)
+    return OscillatorySample(float(tau), complex(v), float(e), conv)
 
 
 # -- closed-form leading coefficient -------------------------------------------
@@ -269,7 +279,7 @@ def test_radial_reduction_agrees_with_tensor_quadrature():
     phi = TestFunction(nu=(0, 0), cutoff=ETA, shape="radial")
     tau = 30.0
     a = radial_reduce(f, phi, tau, tol=1e-10)
-    b = eval_oscillatory(f, phi, tau, tol=1e-9)  # tensor path (radial amplitude)
+    b = _tensor(f, phi, tau, tol=1e-9)
     assert a.converged and b.converged
     assert abs(a.value - b.value) < 5e-9
 
@@ -326,7 +336,7 @@ def test_radial_reduce_at_circle_zeros_agrees_with_tensor_quadrature(phase, tau)
     f = parse(phase, 2)
     phi = TestFunction(nu=(2, 0), cutoff=ETA, shape="radial")
     a = radial_reduce(f, phi, tau, tol=1e-10)
-    b = eval_oscillatory(f, phi, tau, tol=1e-9)
+    b = _tensor(f, phi, tau, tol=1e-9)
     assert a.converged and b.converged
     assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
@@ -346,8 +356,8 @@ def test_tensor_quadrature_respects_rotation_invariance():
     # rotation invariant, so the integrals agree
     phi = TestFunction(nu=(0, 0), cutoff=ETA, shape="radial")
     tau = 20.0
-    a = eval_oscillatory(parse("x1*x2", 2), phi, tau, tol=1e-9)
-    b = eval_oscillatory(parse("1/2*x1^2 - 1/2*x2^2", 2), phi, tau, tol=1e-9)
+    a = _tensor(parse("x1*x2", 2), phi, tau, tol=1e-9)
+    b = _tensor(parse("1/2*x1^2 - 1/2*x2^2", 2), phi, tau, tol=1e-9)
     assert abs(a.value - b.value) < 5e-8
 
 
@@ -447,7 +457,7 @@ def test_tensor_error_estimate_covers_gap_at_small_tau(phase, n, tau, tol):
     # levels can get the same edges; the estimate must still measure something
     f = parse(phase, n)
     phi = TestFunction(nu=(0,) * n, cutoff=ETA, shape="radial")
-    s = eval_oscillatory(f, phi, tau, tol=tol)
+    s = _tensor(f, phi, tau, tol=tol)
     ref = radial_reduce(f, phi, tau, tol=1e-11)
     assert s.converged
     assert s.error_estimate >= abs(s.value - ref.value) > 0.0
@@ -472,6 +482,77 @@ def test_tensor_n3_mixed_phase_matches_recorded_value():
     recorded = -0.20336909964963257 + 0.19420117433051717j
     assert s.converged
     assert abs(s.value - recorded) <= 1e-14 * abs(recorded)
+
+
+# -- the radial route of eval_oscillatory ----------------------------------------
+
+RADIAL_ROUTE = [("x1^2 + x1*x2 + x2^2", 20.0),           # definite
+                ("x1^2 - x2^2", 20.0),
+                ("x1^3 + x2^3", 20.0),                   # the tensor estimate under-covers here
+                ("(x1 - 3*x2)^2*(x1^2 + x2^2)", 2.0)]    # a double zero on the circle
+
+
+def _dense_tensor_reference(phase, nu, tau):
+    """int exp(i tau f(x)) x^nu eta(|x|) dx by fixed dense tensor Gauss-Legendre.
+
+    100 uniform 16-point panels per axis on the support square [-2, 2]^2: no
+    refinement, no circle and no profile, so it shares nothing with
+    ``radial_reduce``.  On every case below it moves by less than 4e-16 at
+    160 panels per axis.
+    """
+    f = parse(phase, 2)
+    phi = TestFunction(nu=nu, cutoff=ETA, shape="radial")
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(-2.0, 2.0, 101)
+    mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    x, w = (mid[:, None] + hw[:, None] * x16).ravel(), (hw[:, None] * w16).ravel()
+    total = 0j
+    for i in range(0, len(x), 200):
+        x1, x2 = x[i : i + 200, None], x[None, :]
+        vals = np.exp(1j * tau * f.evaluate([x1, x2])) * phi(x1, x2)
+        total += np.dot(w[i : i + 200], vals @ w)
+    return complex(total)
+
+
+@pytest.mark.parametrize("phase,tau", RADIAL_ROUTE)
+@pytest.mark.parametrize("nu", [(2, 0), (1, 1)])
+def test_radial_route_matches_dense_tensor_reference(phase, tau, nu):
+    phi = TestFunction(nu=nu, cutoff=ETA, shape="radial")
+    tol = 1e-10
+    s = eval_oscillatory(parse(phase, 2), phi, tau, tol=tol)
+    err = abs(s.value - _dense_tensor_reference(phase, nu, tau))
+    assert s.converged
+    assert err <= tol
+    assert s.error_estimate >= err
+
+
+def test_homogeneous_radial_phases_in_n2_never_reach_the_tensor_grid(monkeypatch):
+    def no_tensor(*args, **kwargs):
+        raise AssertionError("tensor grid used")
+
+    monkeypatch.setattr(quad, "_tensor_oscillatory", no_tensor)
+    f = parse("x1^4 + x1^2*x2^2 + x2^4", 2)
+    phi = TestFunction(nu=(0, 0), cutoff=ETA, shape="radial")
+    # far past the tensor budget; max_panels does not apply on this route
+    assert eval_oscillatory(f, phi, 1e4, tol=1e-10, max_panels=1).converged
+    assert all(s.converged for s in eval_oscillatory_series(f, phi, [0.0, 1e2, 1e4]))
+    # a sample the radial route does not converge is returned as it is
+    stuck = OscillatorySample(10.0, 1j, 1.0, False)
+    monkeypatch.setattr(quad, "radial_reduce", lambda *args: stuck)
+    assert eval_oscillatory(f, phi, 10.0, tol=1e-10) is stuck
+
+
+@pytest.mark.parametrize("phase,n,tau", [("x1^2 + x1*x2 + x2^4", 2, 1.0),  # not homogeneous
+                                         ("3", 2, 1.0),                    # degree 0
+                                         ("0", 2, 1.0),                    # no degree at all
+                                         ("x1^2 + x1*x2 + x3^2", 3, 0.0)])  # n = 3
+def test_other_radial_phases_stay_on_the_tensor_grid(monkeypatch, phase, n, tau):
+    def no_radial(*args, **kwargs):
+        raise AssertionError("radial route used")
+
+    monkeypatch.setattr(quad, "radial_reduce", no_radial)
+    phi = TestFunction(nu=(0,) * n, cutoff=ETA, shape="radial")
+    assert eval_oscillatory(parse(phase, n), phi, tau, tol=1e-4).converged
 
 
 def test_radial_reduce_validation():
