@@ -276,7 +276,8 @@ def _cmd_lab(opts: dict) -> int:
     report = run_theorem3_lab(opts["phase"], _experiment_config(opts))
     _emit(export_report(report, opts["format"]), opts, f"theorem3.{opts['format']}")
     fits = (report.symmetric_fit, report.generic_fit)
-    if not all(fit["converged"] for fit in fits):
+    rows = report.series["symmetric"] + report.series["generic"]
+    if not all(fit["converged"] for fit in fits) or not all(r["converged"] for r in rows):
         return EXIT_NONCONVERGED
     return EXIT_OK
 

@@ -3,10 +3,11 @@
 The battery measures leading exponents for a table of convenient fixtures and
 compares each against its exact pair-distance bound.  The lab runs the full
 blowup pipeline for a homogeneous phase in two even variables: hypothesis
-checks, chart integrals in both radial-weight conventions, exponent fits for
-the blowup-symmetric cutoff and a generic bump, and coefficient probes at the
-candidate exponent.  Every claim line carries a verdict in {supports,
-contradicts, indeterminate}; the lab records evidence, it does not arbitrate.
+checks, exponent fits for the blowup-symmetric cutoff (a sum of chart
+integrals against the measure |dx|) and for a generic bump, and coefficient
+probes at the candidate exponent.  Every claim line carries a verdict in
+{supports, contradicts, indeterminate}; the lab records evidence, it does not
+arbitrate.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ __all__ = [
 ]
 
 BOUND_TOLERANCE = 0.05
-SIGNED_VANISHING_TOLERANCE = 1e-10
 LAB_OVERLAP = 0.25                          # chart-cover overlap parameter
-LAB_CHART_TAUS = (1.0, 10.0, 1e2, 1e3)      # spot checks of the chart table
 LAB_SYM_TAU_MAX = 1e3                       # fit window cap for the chart-sum series
 LAB_SYM_TAU_COUNT = 9
 
@@ -207,8 +206,6 @@ class Theorem3Report:
     d: int
     gamma: Fraction
     hypothesis_checks: Dict[str, bool]
-    chart_table: Tuple[dict, ...]
-    signed_max_ratio: float
     symmetric_fit: dict
     generic_fit: dict
     coefficient_probes: Dict[str, list]
@@ -230,8 +227,6 @@ class Theorem3Report:
             "candidate_exponent": -float(self.gamma),
             "next_exponent_reference": -(self.n + 1) / self.d,
             "hypothesis_checks": dict(sorted(self.hypothesis_checks.items())),
-            "chart_table": list(self.chart_table),
-            "signed_max_ratio": self.signed_max_ratio,
             "symmetric_fit": self.symmetric_fit,
             "generic_fit": self.generic_fit,
             "coefficient_probes": self.coefficient_probes,
@@ -242,7 +237,6 @@ class Theorem3Report:
             "series": self.series,
             "tolerances": {
                 "bound": BOUND_TOLERANCE,
-                "signed_vanishing": SIGNED_VANISHING_TOLERANCE,
                 "quadrature": self.config.get("tol"),
             },
         }
@@ -296,53 +290,14 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
     eta = CutoffFunction(*cfg.cutoff)
     sc = SymmetricCutoff(n=2, eps=LAB_OVERLAP, eta=eta)
     charts = blowup_charts(f)
-    chart_samples = {}
 
-    def per_chart(convention: str, tau: float) -> List[OscillatorySample]:
-        """Each chart's integral at tau, computed once for the table and the series."""
-        key = (convention, tau)
-        if key not in chart_samples:
-            chart_samples[key] = [
-                chart_parity_integral(d, n, ch.h, sc.chart_weight(ch.index), convention, tau,
-                                      tol=cfg.tol, eta=eta, eps=LAB_OVERLAP)
-                for ch in charts
-            ]
-        return chart_samples[key]
-
-    # chart integrals at the spot-check taus, both radial-weight conventions
-    chart_table = []
-    for tau in LAB_CHART_TAUS:
-        signed, absolute = per_chart("signed", tau), per_chart("absolute", tau)
-        signed_total = sum((s.value for s in signed), 0j)
-        abs_total = sum((s.value for s in absolute), 0j)
-        denom = max(abs(abs_total), 1e-300)
-        # for odd degree only the real part is forced to vanish by symmetry
-        vanishing_part = abs(signed_total) if d % 2 == 0 else abs(signed_total.real)
-        chart_table.append(
-            {
-                "tau": float(tau),
-                "charts": [
-                    {
-                        "chart": ch.index,
-                        "signed": [s.value.real, s.value.imag],
-                        "absolute": [a.value.real, a.value.imag],
-                    }
-                    for ch, s, a in zip(charts, signed, absolute)
-                ],
-                "signed_total": [signed_total.real, signed_total.imag],
-                "absolute_total": [abs_total.real, abs_total.imag],
-                "error": sum((s.error_estimate + a.error_estimate
-                              for s, a in zip(signed, absolute)), 0.0),
-                "vanishing_ratio": vanishing_part / denom,
-            }
-        )
-    signed_max_ratio = float(max(row["vanishing_ratio"] for row in chart_table))
-
-    # chart-sum series (measure convention) for the blowup-symmetric cutoff
+    # chart-sum series for the blowup-symmetric cutoff
     sym_taus = geometric_grid(cfg.tau_min, min(cfg.tau_max, LAB_SYM_TAU_MAX), LAB_SYM_TAU_COUNT)
     sym_series = []
     for tau in map(float, sym_taus):
-        parts = per_chart("absolute", tau)
+        parts = [chart_parity_integral(d, ch.h, sc.chart_weight(ch.index), tau,
+                                       tol=cfg.tol, eta=eta, eps=LAB_OVERLAP)
+                 for ch in charts]
         sym_series.append(OscillatorySample(
             tau, sum((s.value for s in parts), 0j), sum((s.error_estimate for s in parts), 0.0),
             all(s.converged for s in parts),
@@ -388,15 +343,6 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
         BOUND_TOLERANCE,
     ))
 
-    part = "signed chart sum" if d % 2 == 0 else "real part of the signed chart sum"
-    claims.append(_claim(
-        "signed_convention_vanishing",
-        f"the {part} vanishes relative to the measure-convention magnitude",
-        "supports" if signed_max_ratio < SIGNED_VANISHING_TOLERANCE else "contradicts",
-        {"max_ratio": signed_max_ratio},
-        SIGNED_VANISHING_TOLERANCE,
-    ))
-
     sym_probe0 = probes["symmetric"][0]
     claims.append(_claim(
         "strict_exponent_gap",
@@ -437,8 +383,6 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
         d=d,
         gamma=gamma,
         hypothesis_checks=checks,
-        chart_table=tuple(chart_table),
-        signed_max_ratio=signed_max_ratio,
         symmetric_fit=sym_fit.to_json_dict(),
         generic_fit=gen_fit.to_json_dict(),
         coefficient_probes=probes,

@@ -893,34 +893,28 @@ def radial_reduce(
 
 
 # ---------------------------------------------------------------------------
-# Blowup-chart parity integrals
+# Blowup-chart integrals
 # ---------------------------------------------------------------------------
 
 
 def chart_parity_integral(
     d: int,
-    n: int,
     h: Polynomial,
     theta: Callable,
-    mode: str,
     tau: float,
     tol: float = 1e-10,
     eta: Optional[CutoffFunction] = None,
     eps: float = 0.25,
 ) -> OscillatorySample:
-    """Chart integral int int exp(i tau y^d h(yhat)) w(y) eta(y) theta(yhat) dy dyhat.
+    """Chart integral int int exp(i tau y^d h(v)) |y| eta(y) theta(v) dy dv, n = 2.
 
-    ``mode`` selects the radial weight: "signed" uses y^(n-1) (the form
-    convention) and "absolute" uses |y|^(n-1) (the measure convention).
-    Only n = 2 is implemented: h is univariate and yhat ranges over
-    |yhat| < 1 + eps.
+    The chart x = (y, y v) (or its coordinate swap) has Jacobian |y|, so the
+    sum over the two charts of ``SymmetricCutoff.chart_weight`` is
+    int exp(i tau f) chi dx for the pushed-down cutoff chi.  v ranges over
+    |v| < 1 + eps, the support of theta.
     """
-    if mode not in ("signed", "absolute"):
-        raise ValueError("mode must be 'signed' or 'absolute'")
-    if h.n != n - 1:
-        raise ValueError("chart polynomial must have n-1 variables")
-    if n != 2:
-        raise ValueError("chart integrals support n = 2")
+    if h.n != 1:
+        raise ValueError("chart polynomial must be univariate (n = 2)")
     eta = eta or CutoffFunction(1.0, 2.0)
     lim = 1.0 + eps
     prof_tol = tol / (8 * lim)
@@ -933,7 +927,7 @@ def chart_parity_integral(
         nodes, wgts = _composite(np.linspace(-lim, lim, m + 1), 16)
         cvals = np.asarray(h.evaluate([nodes])) + np.zeros_like(nodes)
         vals, perr = oscillatory_profile(tau * cvals, d, 1, eta, tol=prof_tol, full_line=True,
-                                         absolute=mode == "absolute")
+                                         absolute=True)
         return complex(np.dot(vals * theta(nodes), wgts)), float(np.dot(np.abs(wgts), perr))
 
     v, e, conv = _refine(map(level, (8, 16, 32, 64)), tol)

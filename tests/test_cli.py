@@ -137,6 +137,16 @@ def test_lab_hypothesis_failure_exit_code(capsys):
     assert "homogeneous" in err
 
 
+def test_lab_with_nonconverged_samples_exits_2(capsys):
+    # the odd cubic's chart samples miss tol while both fits still report
+    # converged; a sample that missed tol is a nonconvergence, as in oscillate
+    code, out, _ = run(capsys, "theorem3-lab", "--phase", "x1^3 + x2^3")
+    report = json.loads(out)
+    assert report["symmetric_fit"]["converged"] and report["generic_fit"]["converged"]
+    assert not any(row["converged"] for row in report["series"]["symmetric"])
+    assert code == 2
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -109,7 +109,6 @@ def test_lab_report_structure(lab_report):
     assert str(rep.gamma) == "1"
     assert set(c["name"] for c in rep.claims) == {
         "exponent_upper_bound",
-        "signed_convention_vanishing",
         "strict_exponent_gap",
         "support_shrinking_invariance",
     }
@@ -131,7 +130,7 @@ def test_lab_evaluates_each_integral_once(monkeypatch, cutoff, series):
     calls = {"chart": [], "series": []}
 
     def chart(*args, **kwargs):
-        calls["chart"].append(args[4:6])  # (convention, tau)
+        calls["chart"].append(args[3])  # tau
         return chart_parity_integral(*args, **kwargs)
 
     def evaluate(f, phi, taus, *args, **kwargs):
@@ -143,14 +142,11 @@ def test_lab_evaluates_each_integral_once(monkeypatch, cutoff, series):
     monkeypatch.setattr(experiments, "chart_parity_integral", chart)
     monkeypatch.setattr(experiments, "eval_oscillatory_series", evaluate)
     run_theorem3_lab("x1^2 + x2^2", replace(CHEAP_LAB, cutoff=cutoff))
-    # the chart-sum series starts and ends on chart-table taus (100 and 1000)
+    # one chart integral per (chart, tau) of the chart-sum series
     sym_taus = np.geomspace(CHEAP_LAB.tau_min, CHEAP_LAB.tau_max, experiments.LAB_SYM_TAU_COUNT)
-    table = {(conv, tau) for conv in ("signed", "absolute") for tau in experiments.LAB_CHART_TAUS}
-    wanted = table | {("absolute", float(tau)) for tau in sym_taus}
-    assert len(wanted) == len(table) + len(sym_taus) - 2
     charts = 2
-    assert sorted(set(calls["chart"])) == sorted(wanted)
-    assert len(calls["chart"]) == charts * len(wanted)
+    assert len(calls["chart"]) == charts * experiments.LAB_SYM_TAU_COUNT
+    assert sorted(calls["chart"]) == sorted(float(tau) for tau in sym_taus for _ in range(charts))
     # one series call per cutoff, each over the whole tau window; the generic
     # series doubles as a support-sweep series on the same cutoff
     assert calls["series"] == [CHEAP_LAB.tau_count] * series
@@ -161,8 +157,6 @@ def test_lab_measurements(lab_report):
     # both fits see the candidate exponent -n/d = -1
     assert abs(rep.symmetric_fit["alpha_hat"] + 1.0) < 0.02
     assert abs(rep.generic_fit["alpha_hat"] + 1.0) < 0.02
-    # signed chart sums vanish to parity precision
-    assert rep.signed_max_ratio < 1e-10
     # closed-form check: the leading coefficient is i*pi
     assert rep.oracle is not None
     assert rep.oracle["alpha"] == pytest.approx(-1.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
-from oscillab.bump import SymmetricCutoff, TestFunction, make_cutoff
+from oscillab.bump import TestFunction, make_cutoff
 from oscillab.fit import geometric_grid
 from oscillab.poly import Polynomial, circle_zeros, parse
 from oscillab import quad
@@ -564,24 +564,10 @@ def test_radial_reduce_validation():
         radial_reduce(parse("x1^2 + x2^2", 2), phi_prod, 10.0)
 
 
-# -- blowup-chart parity integrals ----------------------------------------------
-
-
-def test_chart_parity_signed_vanishes_for_even_phase():
-    chi = SymmetricCutoff(n=2, eps=0.25, eta=ETA)
-    h = parse("1 + x1^4", 1)  # chart transform of x1^4 + x2^4
-    theta = chi.chart_weight(1)
-    signed = chart_parity_integral(4, 2, h, theta, "signed", 100.0, tol=1e-10)
-    absolute = chart_parity_integral(4, 2, h, theta, "absolute", 100.0, tol=1e-10)
-    assert signed.converged and absolute.converged
-    # signed radial weight y^{n-1} = y is odd while the phase is even: exact 0
-    assert abs(signed.value) < 1e-14
-    assert abs(absolute.value) > 1e-3
+# -- blowup-chart integrals -----------------------------------------------------
 
 
 def test_chart_parity_validation():
-    h = parse("1 + x1^4", 1)
+    h = parse("1 + x1^4 + x2^4", 2)
     with pytest.raises(ValueError):
-        chart_parity_integral(4, 2, h, lambda v: 1.0, "weird", 10.0)
-    with pytest.raises(ValueError):
-        chart_parity_integral(4, 3, h, lambda v: 1.0, "signed", 10.0)
+        chart_parity_integral(4, h, lambda v: 1.0, 10.0)
