@@ -247,6 +247,7 @@ def _cmd_oscillate(opts: dict) -> int:
 
 
 def _cmd_fit(opts: dict) -> int:
+    nonconverged = False  # samples read from a CSV keep the exit code of the fit alone
     if opts.get("input"):
         with open(opts["input"]) as fh:
             samples = samples_from_csv(fh.read())
@@ -258,9 +259,10 @@ def _cmd_fit(opts: dict) -> int:
         taus = geometric_grid(opts["tau_min"], opts["tau_max"], opts["tau_count"])
         samples = eval_oscillatory_series(f, phi, taus, tol=opts["tol"])
         n_ambient = f.n
+        nonconverged = not all(s.converged for s in samples)
     est = fit_leading(samples, n_ambient=n_ambient)
     _emit(canonical_json(est.to_json_dict()), opts, "fit.json")
-    return EXIT_OK if est.converged else EXIT_NONCONVERGED
+    return EXIT_OK if est.converged and not nonconverged else EXIT_NONCONVERGED
 
 
 def _cmd_battery(opts: dict) -> int:

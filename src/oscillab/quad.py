@@ -13,7 +13,13 @@
    amplitude reduces to a circle integral of the profile
    (``radial_reduce``), cut at the exact zeros of the phase on the circle.
 3. Tensor: everything else goes to tensor-product Gauss grids whose panels
-   each hold a bounded number of oscillation wavelengths (n <= 3).
+   each hold a bounded number of oscillation wavelengths (n <= 3).  The
+   grid is folded by the sign flips x_i -> -x_i that fix f and the
+   amplitude monomial: the pivot axes of those flips run over [0, r] only.
+   The terms of f in one variable, and a product amplitude, factor into
+   complex weights per axis, so only the mixed terms (one exp per node)
+   and a radial amplitude are evaluated on the grid.  A tau series checks
+   the panel budget of every tau before it evaluates any.
 
 ``radial_reduce`` also takes n = 3 on the sphere, but only when called
 directly.  Every error estimate compares successive refinement levels
@@ -27,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, product
 from math import ceil, comb, gamma, pi, prod
 from typing import Callable, List, Optional
 
@@ -611,10 +618,10 @@ def _axis_integral(
     return [_axis_filon(poly1d, power, eta, float(tau), tol, max_panels) for tau in taus]
 
 
-def _separable_series(f: Polynomial, phi: TestFunction, parts, taus: np.ndarray, tol: float,
+def _separable_series(f: Polynomial, phi: TestFunction, taus: np.ndarray, tol: float,
                       max_panels: int) -> List[OscillatorySample]:
     """Samples of a separable phase: every axis over all of ``taus``, then one product per tau."""
-    polys, const = parts
+    polys, const = f.axis_parts()
     axes = [_axis_integral(polys[i], phi.nu[i], phi.cutoff, taus, tol / (4 * f.n), max_panels)
             for i in range(f.n)]
     samples = []
@@ -655,15 +662,34 @@ def _gradient_bound_1d(f: Polynomial, i: int, radius: float):
     return bound
 
 
-def _tensor_grids(f: Polynomial, radius: float, tau: float, max_panels: int):
+def _sign_fold(f: Polynomial, nu) -> List[int]:
+    """Axes whose grid folds onto [0, r]: the pivots of the sign flips that fix f and x^nu.
+
+    Flipping x_i -> -x_i for every i of a set s fixes the monomial x^e when
+    sum_{i in s} e_i is even, so the flips that fix every term of f and x^nu
+    form a subspace of GF(2)^n; every ``CutoffFunction`` is even, so they fix
+    both amplitude shapes too.  The pivots of an echelon basis of that
+    subspace are the leading axes of its nonzero vectors.  Almost every point
+    has exactly one image under those flips with every pivot coordinate
+    positive, so the integral is 2^k times the one over that region, where k
+    is the number of pivots.
+    """
+    exponents = list(f.terms) + [tuple(nu)]
+    flips = (s for s in product((0, 1), repeat=f.n)
+             if all(sum(a * e for a, e in zip(s, exp)) % 2 == 0 for exp in exponents))
+    return sorted({s.index(1) for s in flips if any(s)})
+
+
+def _tensor_grids(f: Polynomial, lows, radius: float, tau: float, max_panels: int):
     """Axis edges at 2, 1, 1/2 and 1/4 wavelengths per panel, budget-checked.
 
-    The first two levels always run, so both are built and checked against
-    the panel budget before either is evaluated.  Where an axis gets the same
-    phase-resolved edges as at the level before (at small tau the grid is
-    floored at ``min_panels``), or fewer edges than its previous grid, every
-    panel of that grid is bisected instead, so that no level is compared with
-    itself or falls back to a coarser grid.
+    Axis i runs over [lows[i], radius].  The first two levels always run, so
+    both are built and checked against the panel budget by this call, before
+    any level is evaluated; the finer levels are built as they are iterated.
+    Where an axis gets the same phase-resolved edges as at the level before
+    (at small tau the grid is floored at ``min_panels``), or fewer edges than
+    its previous grid, every panel of that grid is bisected instead, so that
+    no level is compared with itself or falls back to a coarser grid.
     """
 
     def level(wpp, prev):
@@ -671,7 +697,7 @@ def _tensor_grids(f: Polynomial, radius: float, tau: float, max_panels: int):
         for i in range(f.n):
             dens_b = _gradient_bound_1d(f, i, radius)
             edges = phase_resolved_edges(
-                -radius, radius, lambda u: tau * dens_b(u) / (2 * pi),
+                lows[i], radius, lambda u: tau * dens_b(u) / (2 * pi),
                 wpp=wpp, max_panels=max_panels,
             )
             resolved.append(edges)
@@ -687,59 +713,99 @@ def _tensor_grids(f: Polynomial, radius: float, tau: float, max_panels: int):
             )
         return resolved, axes
 
+    def finer(grid):
+        for wpp in (0.5, 0.25):
+            grid = level(wpp, grid)
+            yield grid[1]
+
     first = level(2.0, None)
-    grid = level(1.0, first)
-    yield first[1]
-    yield grid[1]
-    for wpp in (0.5, 0.25):
-        grid = level(wpp, grid)
-        yield grid[1]
+    second = level(1.0, first)
+    return chain((first[1], second[1]), finer(second))
+
+
+def _contract(grid: np.ndarray, weights: np.ndarray):
+    """Sum of ``grid`` against ``weights`` over its last axis; a grid of length 1
+    there is constant along that axis and takes the sum of the weights."""
+    return grid[..., 0] * np.sum(weights) if grid.shape[-1] == 1 else grid @ weights
 
 
 def _tensor_oscillatory(
     f: Polynomial,
-    amp_fn: Callable,
-    radius: float,
-    tau: float,
+    phi: TestFunction,
+    taus: np.ndarray,
     tol: float,
     max_panels: int,
-):
-    """Tensor-product Gauss quadrature on an open grid; doubling error estimate.
+) -> List[OscillatorySample]:
+    """Tensor-product Gauss quadrature on open grids, with a doubling error estimate, per tau.
 
-    Coordinate x_i varies along axis i only, so the phase and the amplitude
-    factors are evaluated once per node and broadcast; the trailing axes are
-    contracted with their weights, working through x1 in chunks.
+    Fold: the axes of ``_sign_fold`` run over [0, r] in place of [-r, r],
+    and the value is multiplied by 2^k, k the number of folded axes.
+
+    Factor: f = c + sum_i p_i(x_i) + m(x), where m holds the terms that mix
+    variables.  Each axis carries complex weights, its Gauss weights times
+    e^{i tau p_i(x_i)} x_i^{nu_i}, times eta(x_i) for a product amplitude.
+    Only e^{i tau m(x)} (one exp per node) and a radial eta(|x|) are
+    evaluated on the grid, which is contracted with the axis weights,
+    trailing axes first, working through x1 in chunks of about 2,000,000
+    nodes.  An axis that m and the amplitude leave out is a length-1 axis of
+    the grid, which takes the sum of its weights.
+
+    The first two levels of every tau are built and budget-checked before any
+    tau is evaluated.
     """
+    radius = phi.cutoff.support_radius()
+    folded = _sign_fold(f, phi.nu)
+    lows = [0.0 if i in folded else -radius for i in range(f.n)]
+    plans = [_tensor_grids(f, lows, radius, tau, max_panels) for tau in map(float, taus)]
+    mixed = Polynomial(f.n, {e: c for e, c in f.terms.items() if sum(k > 0 for k in e) > 1})
+    parts, const = (f - mixed).axis_parts()
+    radial = phi.shape == "radial"
 
-    def evaluate(axes):
-        n = len(axes)
-        (x1, w1), *rest = [_composite(edges, 10) for edges in axes]
-        acc = np.zeros(len(x1), dtype=complex)
-        chunk = max(1, 2_000_000 // prod(len(x) for x, _ in rest))
+    def evaluate(tau, axes):
+        rules = [_composite(edges, 10) for edges in axes]
+        weights = []
+        for p, k, (x, w) in zip(parts, phi.nu, rules):
+            w = w * np.exp(1j * tau * p.evaluate([x])) * (x**k if k else 1.0)
+            weights.append(w if radial else w * phi.cutoff(x))
+        mixed_tau = mixed.scale(Fraction(tau))
+        x1 = rules[0][0]
+        chunk = max(1, 2_000_000 // prod(len(x) for x, _ in rules[1:]))
+        total = 0j
         for i in range(0, len(x1), chunk):
-            coords = [x1[i : i + chunk]] + [x for x, _ in rest]
-            X = [x.reshape((-1,) + (1,) * (n - 1 - k)) for k, x in enumerate(coords)]
-            vals = np.exp(1j * tau * f.evaluate(X)) * amp_fn(*X)
-            for _, w in reversed(rest):
-                vals = vals @ w
-            acc[i : i + chunk] = vals
-        return complex(np.dot(acc, w1))
+            coords = [x1[i : i + chunk]] + [x for x, _ in rules[1:]]
+            X = [x.reshape((-1,) + (1,) * (f.n - 1 - k)) for k, x in enumerate(coords)]
+            grid = np.ones((1,) * f.n)
+            if mixed_tau.terms:
+                grid = mixed_tau.evaluate(X) * 1j
+                np.exp(grid, out=grid)
+            if radial:
+                grid = grid * phi.cutoff(np.sqrt(sum(x * x for x in X)))
+            for w in reversed(weights[1:]):
+                grid = _contract(grid, w)
+            total += _contract(grid, weights[0][i : i + chunk])
+        return 2.0 ** len(folded) * np.exp(1j * tau * float(const)) * total
 
-    levels = ((evaluate(axes), 0.0) for axes in _tensor_grids(f, radius, tau, max_panels))
-    return _refine(levels, tol)
+    samples = []
+    for tau, plan in zip(map(float, taus), plans):
+        v, e, conv = _refine(((evaluate(tau, axes), 0.0) for axes in plan), tol)
+        samples.append(OscillatorySample(tau, complex(v), float(e), conv))
+    return samples
 
 
-def _separable_parts(f: Polynomial, phi: TestFunction, taus: np.ndarray, tol: float):
-    """Check the arguments; return f's axis parts when the separable route applies, else None."""
+def _route(f: Polynomial, phi: TestFunction, taus: np.ndarray, tol: float) -> str:
+    """Check the arguments; return the route: "separable", "radial" or "tensor"."""
     if f.n != phi.n:
         raise ValueError("phase and amplitude dimensions differ")
     if f.n > 3:
         raise ValueError("oscillatory quadrature supports n <= 3")
     if np.any(taus < 0) or tol <= 0:
         raise ValueError("require tau >= 0 and tol > 0")
-    parts = f.axis_parts()
     # CutoffFunction is even, so in n = 1 a radial amplitude is the product one
-    return parts if parts is not None and (phi.shape == "product" or f.n == 1) else None
+    if f.axis_parts() is not None and (phi.shape == "product" or f.n == 1):
+        return "separable"
+    if f.n == 2 and phi.shape == "radial" and f.terms and (f.homogeneous_degree() or 0) >= 1:
+        return "radial"
+    return "tensor"
 
 
 def eval_oscillatory(
@@ -763,16 +829,10 @@ def eval_oscillatory(
        on this route, and a sample it does not converge is returned as
        such, never retried on the tensor grid;
     3. tensor: everything else goes through tensor-product quadrature
-       (n <= 3) with a panel-doubling error estimate.
+       (n <= 3) with a panel-doubling error estimate, on grids folded by
+       the sign symmetries of f and the amplitude monomial.
     """
-    taus = np.array([tau], dtype=float)
-    parts = _separable_parts(f, phi, taus, tol)
-    if parts is not None:
-        return _separable_series(f, phi, parts, taus, tol, max_panels)[0]
-    if f.n == 2 and phi.shape == "radial" and f.terms and (f.homogeneous_degree() or 0) >= 1:
-        return radial_reduce(f, phi, tau, tol)
-    v, e, conv = _tensor_oscillatory(f, phi, phi.cutoff.support_radius(), tau, tol, max_panels)
-    return OscillatorySample(float(tau), complex(v), float(e), conv)
+    return eval_oscillatory_series(f, phi, [tau], tol, max_panels)[0]
 
 
 def eval_oscillatory_series(
@@ -789,14 +849,17 @@ def eval_oscillatory_series(
     each pure-power axis is one batched profile call over all taus, refined
     until the largest error of the batch meets the axis tolerance; so a tau
     may run one level finer than it would alone.  Each sample is converged
-    when its own axis errors meet that tolerance.  The radial and tensor
-    routes are a loop over ``eval_oscillatory``.
+    when its own axis errors meet that tolerance.  On the tensor route the
+    panel budget of the first two levels is checked for every tau before any
+    tau is evaluated; the radial and tensor routes then run tau by tau.
     """
     taus = np.asarray(taus, dtype=float).reshape(-1)
-    parts = _separable_parts(f, phi, taus, tol)
-    if parts is not None:
-        return _separable_series(f, phi, parts, taus, tol, max_panels)
-    return [eval_oscillatory(f, phi, tau, tol, max_panels) for tau in map(float, taus)]
+    route = _route(f, phi, taus, tol)
+    if route == "separable":
+        return _separable_series(f, phi, taus, tol, max_panels)
+    if route == "radial":
+        return [radial_reduce(f, phi, tau, tol) for tau in map(float, taus)]
+    return _tensor_oscillatory(f, phi, taus, tol, max_panels)
 
 
 # ---------------------------------------------------------------------------

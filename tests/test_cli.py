@@ -126,6 +126,18 @@ def test_fit_below_noise_is_nonconvergence(capsys, tmp_path):
     assert json.loads(out)["all_below_noise"] is True
 
 
+def test_fit_with_nonconverged_samples_exits_2(capsys):
+    # no sample meets tol = 1e-17; the fit alone would read as converged
+    argv = ["--phase", "x1^4 + x2^4", "--tau-min", "100", "--tau-max", "1000",
+            "--tau-count", "8", "--tol", "1e-17"]
+    code, out, _ = run(capsys, "oscillate", *argv, "--format", "json")
+    assert code == 2
+    assert not any(s["converged"] for s in json.loads(out)["samples"])
+    code, out, _ = run(capsys, "fit", *argv)
+    assert code == 2
+    assert "alpha_hat" in json.loads(out)
+
+
 def test_missing_input_file_is_usage_error(capsys):
     code, _, _ = run(capsys, "fit", "--input", "/nonexistent/samples.csv")
     assert code == 1
@@ -388,7 +400,7 @@ def test_flags_the_chosen_route_ignores_are_usage_errors(
 
 
 def test_oscillate_radial_mixed_term_phase_takes_the_circle_route(capsys):
-    # over the default tau window the tensor grid would need 1052676 panels
+    # over the default tau window the folded tensor grid would need 1304164 panels
     code, out, err = run(capsys, "oscillate", "--phase", "x1^4 + x1^2*x2^2 + x2^4",
                          "--shape", "radial", "--format", "json")
     assert code == 0, err

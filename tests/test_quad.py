@@ -31,9 +31,7 @@ ETA = make_cutoff(1.0, 2.0)
 def _tensor(f, phi, tau, tol):
     """The tensor route alone: ``eval_oscillatory`` sends homogeneous n = 2
     phases with radial amplitudes to ``radial_reduce``."""
-    v, e, conv = quad._tensor_oscillatory(f, phi, phi.cutoff.support_radius(), tau, tol,
-                                          DEFAULT_MAX_PANELS)
-    return OscillatorySample(float(tau), complex(v), float(e), conv)
+    return quad._tensor_oscillatory(f, phi, [tau], tol, DEFAULT_MAX_PANELS)[0]
 
 
 # -- closed-form leading coefficient -------------------------------------------
@@ -434,8 +432,9 @@ def test_budget_error():
 
 
 def test_tensor_budget_is_checked_before_any_evaluation(monkeypatch):
-    # at tau = 300 the wpp = 2 grid fits the budget and the wpp = 1 grid does
-    # not; both levels always run, so the error must come before either
+    # x1 is folded onto [0, 2]; at tau = 600 the wpp = 2 grid fits the budget
+    # (962 x 770 panels) and the wpp = 1 grid does not; both levels always
+    # run, so the error must come before either
     f = parse("x2^2 - x1*x2 + x1^4", 2)
     phi = TestFunction(nu=(0, 0), cutoff=ETA)
 
@@ -443,8 +442,11 @@ def test_tensor_budget_is_checked_before_any_evaluation(monkeypatch):
         raise AssertionError("phase evaluated before the budget check")
 
     monkeypatch.setattr(Polynomial, "evaluate", no_evaluation)
-    with pytest.raises(QuadratureBudgetError, match="tensor grid needs 1476090 panels"):
-        eval_oscillatory(f, phi, 300.0, tol=1e-10)
+    with pytest.raises(QuadratureBudgetError, match="tensor grid needs 2940678 panels"):
+        eval_oscillatory(f, phi, 600.0, tol=1e-10)
+    # in a series, a later tau past the budget stops the series before its first tau
+    with pytest.raises(QuadratureBudgetError, match="tensor grid needs 2940678 panels"):
+        eval_oscillatory_series(f, phi, [10.0, 600.0], tol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -473,15 +475,46 @@ def test_tensor_n3_matches_radial_reduction():
     assert abs(s.value - ref.value) <= tol
 
 
-def test_tensor_n3_mixed_phase_matches_recorded_value():
-    # recorded with a per-x1-slice contraction of the same grids; the open-grid
-    # evaluator sums in another order, so it must agree to roundoff only
+def test_tensor_n3_mixed_phase_matches_separated_dense_reference():
+    # x3 separates: the integral is a dense 2-D sum in (x1, x2) times a dense
+    # 1-D sum in x3, sharing no grid with the folded tensor route
     f = parse("x1^2 + x1*x2 + x2^2 + x3^2", 3)
     phi = TestFunction(nu=(0, 0, 0), cutoff=ETA)
-    s = eval_oscillatory(f, phi, 8.0, tol=1e-6)
-    recorded = -0.20336909964963257 + 0.19420117433051717j
+    tau = 8.0
+    s = eval_oscillatory(f, phi, tau, tol=1e-6)
+    x, w = _dense_axis_rule()
+    ref = (_dense_tensor_reference("x1^2 + x1*x2 + x2^2", (0, 0), tau, "product")
+           * complex(np.sum(w * np.exp(1j * tau * x**2) * ETA(x))))
     assert s.converged
-    assert abs(s.value - recorded) <= 1e-14 * abs(recorded)
+    assert abs(s.value - ref) <= s.error_estimate
+
+
+# -- sign folds of the tensor grid -------------------------------------------------
+
+
+@pytest.mark.parametrize("phase,nu,axes", [
+    ("x1^4 + x2^4", (0, 0), [0, 1]),
+    ("x2^2 + x1*x2 + x1^4", (0, 0), [0]),
+    ("x1^3 + x2^3", (0, 0), []),
+    ("x1^2 + x2^2", (1, 0), [1]),
+    ("x1^2 + x1*x2 + x2^2 + x3^2", (0, 0, 0), [0, 2]),
+])
+def test_sign_fold_pivot_axes(phase, nu, axes):
+    assert quad._sign_fold(parse(phase, len(nu)), nu) == axes
+
+
+@pytest.mark.parametrize("phase,nu,shape,tau", [
+    ("x2^2 + x1*x2 + x1^4", (0, 0), "product", 20.0),    # x1 folded
+    ("x1^2 - x1*x2 + x2^4", (1, 1), "product", 10.0),    # x1 folded, odd amplitude axes
+    ("x1^4 + x1*x2^2 + x2^4", (0, 2), "product", 10.0),  # x2 folded
+    ("x1^2 + x1*x2 + x2^4", (0, 0), "radial", 10.0),     # x1 folded, radial amplitude
+    ("x1^4 + x2^2", (2, 0), "radial", 10.0),             # both folded, no mixed term
+])
+def test_folded_tensor_samples_match_dense_unfolded_reference(phase, nu, shape, tau):
+    phi = TestFunction(nu=nu, cutoff=ETA, shape=shape)
+    s = _tensor(parse(phase, 2), phi, tau, tol=1e-10)
+    assert s.converged
+    assert abs(s.value - _dense_tensor_reference(phase, nu, tau, shape)) <= s.error_estimate
 
 
 # -- the radial route of eval_oscillatory ----------------------------------------
@@ -492,20 +525,25 @@ RADIAL_ROUTE = [("x1^2 + x1*x2 + x2^2", 20.0),           # definite
                 ("(x1 - 3*x2)^2*(x1^2 + x2^2)", 2.0)]    # a double zero on the circle
 
 
-def _dense_tensor_reference(phase, nu, tau):
-    """int exp(i tau f(x)) x^nu eta(|x|) dx by fixed dense tensor Gauss-Legendre.
-
-    100 uniform 16-point panels per axis on the support square [-2, 2]^2: no
-    refinement, no circle and no profile, so it shares nothing with
-    ``radial_reduce``.  On every case below it moves by less than 4e-16 at
-    160 panels per axis.
-    """
-    f = parse(phase, 2)
-    phi = TestFunction(nu=nu, cutoff=ETA, shape="radial")
+def _dense_axis_rule():
+    """100 uniform 16-point Gauss-Legendre panels on the support [-2, 2]."""
     x16, w16 = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(-2.0, 2.0, 101)
     mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    x, w = (mid[:, None] + hw[:, None] * x16).ravel(), (hw[:, None] * w16).ravel()
+    return (mid[:, None] + hw[:, None] * x16).ravel(), (hw[:, None] * w16).ravel()
+
+
+def _dense_tensor_reference(phase, nu, tau, shape="radial"):
+    """int exp(i tau f(x)) x^nu eta dx, n = 2, by fixed dense tensor Gauss-Legendre.
+
+    ``_dense_axis_rule`` on both axes of the whole support square: no
+    refinement, no fold, no circle and no profile, so it shares nothing with
+    ``radial_reduce`` or the tensor route.  On every case it is used for it
+    moves by less than 1e-15 at 160 panels per axis.
+    """
+    f = parse(phase, 2)
+    phi = TestFunction(nu=nu, cutoff=ETA, shape=shape)
+    x, w = _dense_axis_rule()
     total = 0j
     for i in range(0, len(x), 200):
         x1, x2 = x[i : i + 200, None], x[None, :]
