@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 _FLAG_OPTIONS = {
     "phase": dict(help="phase polynomial, e.g. 'x1^4 + x2^4'"),
     "dim": dict(type=int, help="ambient dimension n"),
-    "nu": dict(help="amplitude monomial exponents, comma separated"),
+    "nu": dict(help="amplitude monomial exponents, comma separated (default: --dim zeros)"),
     "shape": dict(choices=["product", "radial"], help="amplitude shape"),
     "cutoff": dict(help="cutoff radii a,b (1 on [-a,a], 0 outside (-b,b))"),
     "tau-min": dict(type=float),
@@ -88,7 +88,6 @@ def _build_parser():
 
 _DEFAULTS = {
     "dim": 2,
-    "nu": "0,0",
     "cutoff": "1,2",
     "shape": "product",
     "tau_min": 1e2,
@@ -185,8 +184,8 @@ def _emit(text: str, opts: dict, filename: str):
 
 def _make_amplitude(opts: dict) -> TestFunction:
     a, b = _floats(opts["cutoff"])
-    return TestFunction(nu=_ints(opts["nu"]), cutoff=CutoffFunction(a, b),
-                        shape=opts["shape"])
+    nu = _ints(opts["nu"]) if "nu" in opts else (0,) * opts["dim"]
+    return TestFunction(nu=nu, cutoff=CutoffFunction(a, b), shape=opts["shape"])
 
 
 def _experiment_config(opts: dict) -> ExperimentConfig:

@@ -77,11 +77,13 @@ def geometric_grid(tau_min: float, tau_max: float, count: int) -> np.ndarray:
 
 
 def _usable(samples: Sequence[OscillatorySample]):
+    """taus, values, error estimates and converged flags, sorted by tau."""
     taus = np.array([s.tau for s in samples], dtype=float)
     vals = np.array([s.value for s in samples], dtype=complex)
     errs = np.array([s.error_estimate for s in samples], dtype=float)
+    flags = np.array([s.converged for s in samples], dtype=bool)
     order = np.argsort(taus)
-    return taus[order], vals[order], errs[order]
+    return taus[order], vals[order], errs[order], flags[order]
 
 
 def _lsq_alpha(logt: np.ndarray, logm: np.ndarray):
@@ -95,8 +97,12 @@ def fit_leading(
     samples: Sequence[OscillatorySample],
     n_ambient: int = 2,
 ) -> ExponentEstimate:
-    """Fit alpha, k and the complex leading coefficient from sampled I(tau)."""
-    taus, vals, errs = _usable(samples)
+    """Fit alpha, k and the complex leading coefficient from sampled I(tau).
+
+    The fit is converged only when it is stable across the two halves of the
+    window, its residual is small, and every sample it keeps converged.
+    """
+    taus, vals, errs, flags = _usable(samples)
     mags = np.abs(vals)
     keep = mags > 3 * errs
     if np.count_nonzero(keep) < 8:
@@ -108,7 +114,7 @@ def fit_leading(
             window=(float(taus[0]), float(taus[-1])) if len(taus) else (0.0, 0.0),
             all_below_noise=True,
         )
-    taus, vals, errs, mags = taus[keep], vals[keep], errs[keep], mags[keep]
+    taus, vals, errs, mags, flags = taus[keep], vals[keep], errs[keep], mags[keep], flags[keep]
     logt, logm = np.log(taus), np.log(mags)
     loglog = np.log(logt)
     rel_noise = float(np.median(errs / mags))
@@ -134,7 +140,7 @@ def fit_leading(
 
     model = taus**alpha * np.log(taus) ** best_k
     coeff = complex(np.mean(vals / model))
-    converged = bool(stable and resid < RESIDUAL_THRESHOLD)
+    converged = bool(stable and resid < RESIDUAL_THRESHOLD and flags.all())
     return ExponentEstimate(
         alpha_hat=float(alpha), k_hat=int(best_k), coeff_hat=coeff,
         residual=resid, noise_floor=rel_noise, converged=converged,
@@ -181,7 +187,7 @@ def coefficient_at(samples: Sequence[OscillatorySample], alpha: float, k: int = 
     when the probed term is leading; its drift (trend) enters the
     zero-consistency threshold and flags mis-probed log powers.
     """
-    taus, vals, errs = _usable(samples)
+    taus, vals, errs, _ = _usable(samples)
     if len(taus) < 2:
         raise ValueError("need at least two samples")
     top = taus >= taus[-1] / 10.0

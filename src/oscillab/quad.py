@@ -12,24 +12,30 @@
 2. Radial: a homogeneous phase of degree >= 1 in n = 2 with a radial
    amplitude reduces to a circle integral of the profile
    (``radial_reduce``), cut at the exact zeros of the phase on the circle.
-3. Tensor: everything else goes to tensor-product Gauss grids whose panels
-   each hold a bounded number of oscillation wavelengths (n <= 3).  The
+3. Tensor: everything else in n <= 3 goes to tensor-product Gauss grids
+   whose panels each hold a bounded number of oscillation wavelengths.  The
    grid is folded by the sign flips x_i -> -x_i that fix f and the
    amplitude monomial: the pivot axes of those flips run over [0, r] only.
    The terms of f in one variable, and a product amplitude, factor into
    complex weights per axis, so only the mixed terms (one exp per node)
-   and a radial amplitude are evaluated on the grid.  A tau series checks
-   the panel budget of every tau before it evaluates any.
+   and a radial amplitude (on the annulus where it is neither 0 nor 1) are
+   evaluated on the grid.  The grid is cut into row blocks of a fixed
+   node count, which run on a thread pool with one worker per usable CPU
+   and are contracted without BLAS.  A tau series checks the panel budget
+   of every tau before it evaluates any.
 
-``radial_reduce`` also takes n = 3 on the sphere, but only when called
-directly.  Every error estimate compares successive refinement levels
-through one rule, ``_refine``.  Estimates are heuristic diagnostics, not
-certified bounds.  All accumulation orders are deterministic, so results
-are reproducible.
+The separable route takes any n; the other routes reject n >= 4 before
+any grid work.  ``radial_reduce`` also takes n = 3 on the sphere, but only
+when called directly.  Every error estimate compares successive
+refinement levels through one rule, ``_refine``.  Estimates are heuristic
+diagnostics, not certified bounds.  All accumulation orders are
+deterministic and independent of the number of threads, so results are
+reproducible bitwise.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,6 +61,8 @@ __all__ = [
 
 DEFAULT_MAX_PANELS = 10**6
 _WPP = 2.0  # target wavelengths per panel at order 16
+_BLOCK_NODES = 1 << 17  # largest row block of the tensor grid, in nodes
+_POOL = None  # (pid, thread pool) of the tensor evaluator, made by ``_pool`` on first use
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -724,9 +732,42 @@ def _tensor_grids(f: Polynomial, lows, radius: float, tau: float, max_panels: in
 
 
 def _contract(grid: np.ndarray, weights: np.ndarray):
-    """Sum of ``grid`` against ``weights`` over its last axis; a grid of length 1
-    there is constant along that axis and takes the sum of the weights."""
-    return grid[..., 0] * np.sum(weights) if grid.shape[-1] == 1 else grid @ weights
+    """Sum of ``grid`` against ``weights`` over its last axis, without BLAS; a
+    grid of length 1 there is constant along that axis and takes the sum of
+    the weights."""
+    if grid.shape[-1] == 1:
+        return grid[..., 0] * np.sum(weights)
+    return np.einsum("...j,j->...", grid, weights)
+
+
+def _radial_cutoff(eta: CutoffFunction, X) -> np.ndarray:
+    """eta(|x|) on the open grid ``X``, bitwise equal to ``eta`` on every node.
+
+    eta is exactly 1 for |x| <= a and exactly 0 for |x| >= b, so it is
+    evaluated on the annulus a < |x| < b only.
+    """
+    r = np.sqrt(sum(x * x for x in X))
+    out = (r <= eta.a).astype(float)
+    band = (r > eta.a) & (r < eta.b)
+    out[band] = eta(r[band])
+    return out
+
+
+def _pool():
+    """The module's thread pool, one worker per usable CPU, created on first use.
+
+    A forked child has none of its parent's threads, so it makes its own.
+    """
+    global _POOL
+    if _POOL is None or _POOL[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # no CPU affinity on this platform
+            workers = os.cpu_count() or 1
+        _POOL = (os.getpid(), ThreadPoolExecutor(max_workers=workers))
+    return _POOL[1]
 
 
 def _tensor_oscillatory(
@@ -745,10 +786,17 @@ def _tensor_oscillatory(
     variables.  Each axis carries complex weights, its Gauss weights times
     e^{i tau p_i(x_i)} x_i^{nu_i}, times eta(x_i) for a product amplitude.
     Only e^{i tau m(x)} (one exp per node) and a radial eta(|x|) are
-    evaluated on the grid, which is contracted with the axis weights,
-    trailing axes first, working through x1 in chunks of about 2,000,000
-    nodes.  An axis that m and the amplitude leave out is a length-1 axis of
-    the grid, which takes the sum of its weights.
+    evaluated on the grid, which spans the axes of m (every axis for a
+    radial amplitude); every other axis contributes the sum of its weights.
+
+    Blocks: the grid is split along its first axis into near-equal row
+    blocks, one per ``_BLOCK_NODES`` nodes rounded up.  Each block is
+    contracted with the axis weights, trailing axes first and its rows last,
+    into one complex partial; the blocks run on the module's thread pool
+    (numpy releases the GIL inside its loops), and their partials are added
+    in block order.  The split depends on the grid shape only, and no block
+    calls BLAS, so the result is the same bitwise on any number of cores.
+    A grid of one block runs inline.
 
     The first two levels of every tau are built and budget-checked before any
     tau is evaluated.
@@ -760,6 +808,9 @@ def _tensor_oscillatory(
     mixed = Polynomial(f.n, {e: c for e, c in f.terms.items() if sum(k > 0 for k in e) > 1})
     parts, const = (f - mixed).axis_parts()
     radial = phi.shape == "radial"
+    on_grid = [i for i in range(f.n) if radial or any(e[i] for e in mixed.terms)]
+    grid_phase = Polynomial(len(on_grid), {tuple(e[i] for i in on_grid): c
+                                           for e, c in mixed.terms.items()})
 
     def evaluate(tau, axes):
         rules = [_composite(edges, 10) for edges in axes]
@@ -767,23 +818,37 @@ def _tensor_oscillatory(
         for p, k, (x, w) in zip(parts, phi.nu, rules):
             w = w * np.exp(1j * tau * p.evaluate([x])) * (x**k if k else 1.0)
             weights.append(w if radial else w * phi.cutoff(x))
-        mixed_tau = mixed.scale(Fraction(tau))
-        x1 = rules[0][0]
-        chunk = max(1, 2_000_000 // prod(len(x) for x, _ in rules[1:]))
-        total = 0j
-        for i in range(0, len(x1), chunk):
-            coords = [x1[i : i + chunk]] + [x for x, _ in rules[1:]]
-            X = [x.reshape((-1,) + (1,) * (f.n - 1 - k)) for k, x in enumerate(coords)]
-            grid = np.ones((1,) * f.n)
-            if mixed_tau.terms:
-                grid = mixed_tau.evaluate(X) * 1j
-                np.exp(grid, out=grid)
-            if radial:
-                grid = grid * phi.cutoff(np.sqrt(sum(x * x for x in X)))
-            for w in reversed(weights[1:]):
+        phase = grid_phase.scale(Fraction(tau))
+        nodes = [rules[i][0] for i in on_grid]
+        grid_weights = [weights[i] for i in on_grid]
+        # one block per _BLOCK_NODES nodes, rounded up, with the rows spread
+        # evenly over them (at least one row each)
+        count = -(-len(nodes[0]) * prod(len(x) for x in nodes[1:]) // _BLOCK_NODES)
+        rows = -(-len(nodes[0]) // count)
+
+        def block(start):
+            coords = [nodes[0][start : start + rows]] + nodes[1:]
+            X = [x.reshape((-1,) + (1,) * (len(coords) - 1 - k)) for k, x in enumerate(coords)]
+            grid = _radial_cutoff(phi.cutoff, X) if radial else None
+            if phase.terms:
+                wave = phase.evaluate(X) * 1j
+                np.exp(wave, out=wave)
+                grid = wave if grid is None else wave * grid
+            if grid is None:  # tau = 0 under a product amplitude
+                grid = np.ones((1,) * len(X))
+            for w in reversed(grid_weights[1:]):
                 grid = _contract(grid, w)
-            total += _contract(grid, weights[0][i : i + chunk])
-        return 2.0 ** len(folded) * np.exp(1j * tau * float(const)) * total
+            return _contract(grid, grid_weights[0][start : start + rows])
+
+        starts = range(0, len(nodes[0]), rows)
+        total = 0j
+        for partial in (_pool().map if len(starts) > 1 else map)(block, starts):
+            total += partial
+        value = 2.0 ** len(folded) * np.exp(1j * tau * float(const))
+        for i in range(f.n):
+            if i not in on_grid:
+                value = value * np.sum(weights[i])
+        return value * total
 
     samples = []
     for tau, plan in zip(map(float, taus), plans):
@@ -796,8 +861,6 @@ def _route(f: Polynomial, phi: TestFunction, taus: np.ndarray, tol: float) -> st
     """Check the arguments; return the route: "separable", "radial" or "tensor"."""
     if f.n != phi.n:
         raise ValueError("phase and amplitude dimensions differ")
-    if f.n > 3:
-        raise ValueError("oscillatory quadrature supports n <= 3")
     if np.any(taus < 0) or tol <= 0:
         raise ValueError("require tau >= 0 and tol > 0")
     # CutoffFunction is even, so in n = 1 a radial amplitude is the product one
@@ -805,6 +868,9 @@ def _route(f: Polynomial, phi: TestFunction, taus: np.ndarray, tol: float) -> st
         return "separable"
     if f.n == 2 and phi.shape == "radial" and f.terms and (f.homogeneous_degree() or 0) >= 1:
         return "radial"
+    if f.n > 3:
+        raise ValueError("the tensor route supports n <= 3; only separable phases "
+                         "with a product amplitude are evaluated in n >= 4")
     return "tensor"
 
 
@@ -828,9 +894,12 @@ def eval_oscillatory(
        amplitude goes to ``radial_reduce``.  ``max_panels`` does not apply
        on this route, and a sample it does not converge is returned as
        such, never retried on the tensor grid;
-    3. tensor: everything else goes through tensor-product quadrature
-       (n <= 3) with a panel-doubling error estimate, on grids folded by
+    3. tensor: everything else in n <= 3 goes through tensor-product
+       quadrature with a panel-doubling error estimate, on grids folded by
        the sign symmetries of f and the amplitude monomial.
+
+    Only the separable route takes n >= 4; any other phase there raises
+    ``ValueError`` before any grid work.
     """
     return eval_oscillatory_series(f, phi, [tau], tol, max_panels)[0]
 

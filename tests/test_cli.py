@@ -150,12 +150,14 @@ def test_lab_hypothesis_failure_exit_code(capsys):
 
 
 def test_lab_with_nonconverged_samples_exits_2(capsys):
-    # the odd cubic's chart samples miss tol while both fits still report
-    # converged; a sample that missed tol is a nonconvergence, as in oscillate
+    # the odd cubic's chart samples miss tol, so the fit over them does not
+    # read converged either; the generic series and its fit converge
     code, out, _ = run(capsys, "theorem3-lab", "--phase", "x1^3 + x2^3")
     report = json.loads(out)
-    assert report["symmetric_fit"]["converged"] and report["generic_fit"]["converged"]
     assert not any(row["converged"] for row in report["series"]["symmetric"])
+    assert not report["symmetric_fit"]["converged"]
+    assert all(row["converged"] for row in report["series"]["generic"])
+    assert report["generic_fit"]["converged"]
     assert code == 2
 
 
@@ -408,6 +410,18 @@ def test_oscillate_radial_mixed_term_phase_takes_the_circle_route(capsys):
     assert len(samples) == 24
     assert samples[0]["tau"] == 100.0 and samples[-1]["tau"] == 10000.0
     assert all(s["converged"] for s in samples)
+
+
+@pytest.mark.parametrize("phase,dim", [("x1^2 + x2^2 + x3^2", "3"),
+                                       ("x1^6 + x2^6 - x3^6 + x4^6", "4")])
+def test_oscillate_nu_defaults_to_dim_zeros(capsys, phase, dim):
+    code, out, err = run(capsys, "oscillate", "--phase", phase, "--dim", dim,
+                         "--tau-min", "10", "--tau-max", "100", "--tau-count", "8",
+                         "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["config"]["nu"] == [0] * int(dim)
+    assert len(payload["samples"]) == 8
 
 
 def test_fit_input_reads_dim_and_resolution_route_reads_method(capsys, tmp_path):

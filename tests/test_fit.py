@@ -68,6 +68,21 @@ def test_fit_leading_all_below_noise():
     assert np.isnan(est.alpha_hat)
 
 
+def test_fit_leading_is_not_converged_when_a_kept_sample_is_not():
+    taus = geometric_grid(100.0, 1e4, 24)
+    samples = synth(taus, lambda t: (2.0 + 1.5j) * t**-0.5)
+    assert fit_leading(samples).converged
+    # one kept sample that did not converge, with the same value and estimate
+    samples[5] = OscillatorySample(samples[5].tau, samples[5].value,
+                                   samples[5].error_estimate, converged=False)
+    est = fit_leading(samples)
+    assert not est.converged
+    assert est.alpha_hat == pytest.approx(-0.5, abs=1e-6)
+    # an unconverged sample below the noise is not kept, so it does not count
+    below = OscillatorySample(2e4, 1e-18 + 0j, 1e-10, converged=False)
+    assert fit_leading(synth(taus, lambda t: (2.0 + 1.5j) * t**-0.5) + [below]).converged
+
+
 def test_fit_leading_tolerates_noise():
     rng = np.random.default_rng(3)
     taus = geometric_grid(100.0, 1e4, 30)

@@ -1,12 +1,17 @@
+import os
+import signal
+import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from math import ceil, gamma, pi, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
 from oscillab.bump import TestFunction, make_cutoff
-from oscillab.fit import geometric_grid
+from oscillab.fit import fit_leading, geometric_grid
 from oscillab.poly import Polynomial, circle_zeros, parse
 from oscillab import quad
 from oscillab.quad import (
@@ -515,6 +520,96 @@ def test_folded_tensor_samples_match_dense_unfolded_reference(phase, nu, shape, 
     s = _tensor(parse(phase, 2), phi, tau, tol=1e-10)
     assert s.converged
     assert abs(s.value - _dense_tensor_reference(phase, nu, tau, shape)) <= s.error_estimate
+
+
+# -- row blocks of the tensor grid -------------------------------------------------
+
+
+@pytest.mark.parametrize("eta", [ETA, make_cutoff(0.5, 1.5)])
+def test_radial_cutoff_is_bitwise_the_full_evaluation(eta):
+    # radii inside, on and next to both ends of the annulus, and outside it
+    edges = [np.nextafter(r, d) for r in (eta.a, eta.b) for d in (0.0, 3.0)]
+    x = np.concatenate([np.linspace(0.0, 2.5, 401), [eta.a, eta.b], edges])
+    X = [x.reshape(-1, 1, 1), x[::3].reshape(-1, 1), x[::5]]
+    full = eta(np.sqrt(sum(v * v for v in X)))
+    got = quad._radial_cutoff(eta, X)
+    assert got.shape == full.shape and got.dtype == full.dtype
+    assert got.tobytes() == full.tobytes()
+    assert 0 < np.count_nonzero(full == 1.0) and 0 < np.count_nonzero(full == 0.0)
+
+
+@pytest.mark.parametrize("phase,n,shape,tau,tol", [
+    ("x1^2 + x1*x2 + x2^4", 2, "product", 40.0, 1e-10),
+    ("x1^2 + x1*x2 + x2^2 + x3^2", 3, "radial", 3.0, 1e-6),
+])
+def test_tensor_samples_do_not_depend_on_the_worker_count(monkeypatch, phase, n, shape, tau, tol):
+    f = parse(phase, n)
+    phi = TestFunction(nu=(0,) * n, cutoff=ETA, shape=shape)
+    pooled = []
+    real_pool = quad._pool
+
+    def counting_pool():
+        pooled.append(1)
+        return real_pool()
+
+    monkeypatch.setattr(quad, "_pool", counting_pool)
+    reference = _tensor(f, phi, tau, tol)
+    assert reference.converged
+    assert pooled  # some level of this grid spans more than one block
+    with ThreadPoolExecutor(1) as one, ThreadPoolExecutor(3) as three:
+        for pool in (SimpleNamespace(map=map), one, three):
+            monkeypatch.setattr(quad, "_pool", lambda: pool)
+            s = _tensor(f, phi, tau, tol)
+            assert (s.value, s.error_estimate, s.converged) == (
+                reference.value, reference.error_estimate, reference.converged)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # forking a threaded process is the case
+def test_tensor_route_runs_in_a_forked_child():
+    # the child inherits the parent's pool object but none of its threads
+    f = parse("x1^2 + x1*x2 + x2^4", 2)
+    phi = TestFunction(nu=(0, 0), cutoff=ETA)
+    expected = _tensor(f, phi, 40.0, 1e-10)
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if _tensor(f, phi, 40.0, 1e-10) == expected else 1)
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("the tensor route hung in a forked child")
+
+
+# -- n = 4 --------------------------------------------------------------------------
+
+
+def test_separable_n4_phase_evaluates_and_fits_its_exponent():
+    f = parse("x1^6 + x2^6 - x3^6 + x4^6", 4)
+    phi = TestFunction(nu=(0, 0, 0, 0), cutoff=ETA)
+    samples = eval_oscillatory_series(f, phi, geometric_grid(100.0, 1000.0, 8), tol=1e-10)
+    assert all(s.converged for s in samples)
+    est = fit_leading(samples, n_ambient=4)
+    assert est.converged and est.k_hat == 0
+    assert est.alpha_hat == pytest.approx(-2.0 / 3.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("shape", ["product", "radial"])
+def test_n4_phase_off_the_separable_route_is_rejected_before_any_grid(monkeypatch, shape):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid work before the dimension check")
+
+    monkeypatch.setattr(quad, "_tensor_grids", no_grid)
+    monkeypatch.setattr(quad, "_composite", no_grid)
+    phi = TestFunction(nu=(0, 0, 0, 0), cutoff=ETA, shape=shape)
+    phase = "x1^2 + x1*x2 + x3^2 + x4^2" if shape == "product" else "x1^2 + x2^2 + x3^2 + x4^2"
+    with pytest.raises(ValueError, match="n <= 3"):
+        eval_oscillatory_series(parse(phase, 4), phi, [1.0, 10.0])
 
 
 # -- the radial route of eval_oscillatory ----------------------------------------
