@@ -19,10 +19,11 @@
    The terms of f in one variable, and a product amplitude, factor into
    complex weights per axis, so only the mixed terms (one exp per node)
    and a radial amplitude (on the annulus where it is neither 0 nor 1) are
-   evaluated on the grid.  The grid is cut into row blocks of a fixed
+   evaluated on the grid.  The grid is cut into blocks of at most a fixed
    node count, which run on a thread pool with one worker per usable CPU
-   and are contracted without BLAS.  A tau series checks the panel budget
-   of every tau before it evaluates any.
+   (at most 15, so memory does not grow with the host) and are contracted
+   without BLAS.  A tau series checks the panel budget of every tau before
+   it evaluates any.
 
 The separable route takes any n; the other routes reject n >= 4 before
 any grid work.  ``radial_reduce`` also takes n = 3 on the sphere, but only
@@ -61,7 +62,10 @@ __all__ = [
 
 DEFAULT_MAX_PANELS = 10**6
 _WPP = 2.0  # target wavelengths per panel at order 16
-_BLOCK_NODES = 1 << 17  # largest row block of the tensor grid, in nodes
+_BLOCK_NODES = 1 << 17  # most nodes in one block of the tensor grid
+# most blocks in flight: 15 * 2^17 nodes stays under the 2,000,000-node chunks
+# that the tensor grid was evaluated in before blocks, on any number of CPUs
+_POOL_WORKERS = 15
 _POOL = None  # (pid, thread pool) of the tensor evaluator, made by ``_pool`` on first use
 
 
@@ -731,13 +735,20 @@ def _tensor_grids(f: Polynomial, lows, radius: float, tau: float, max_panels: in
     return chain((first[1], second[1]), finer(second))
 
 
-def _contract(grid: np.ndarray, weights: np.ndarray):
-    """Sum of ``grid`` against ``weights`` over its last axis, without BLAS; a
-    grid of length 1 there is constant along that axis and takes the sum of
-    the weights."""
-    if grid.shape[-1] == 1:
-        return grid[..., 0] * np.sum(weights)
-    return np.einsum("...j,j->...", grid, weights)
+def _grid_blocks(shape) -> List[tuple]:
+    """Slices that cut a grid of this shape into blocks of at most ``_BLOCK_NODES`` nodes.
+
+    The cut runs along axis d, the first axis whose trailing axes hold at
+    most ``_BLOCK_NODES`` nodes: a block takes one index of every axis before
+    d, a run of axis d, and all of every axis after d.  The runs are as near
+    equal as the fewest blocks allow.  The blocks depend on the shape only.
+    """
+    d = next(k for k in range(len(shape)) if prod(shape[k + 1:]) <= _BLOCK_NODES)
+    most = _BLOCK_NODES // prod(shape[d + 1:])
+    run = -(-shape[d] // -(-shape[d] // most))
+    tail = (slice(None),) * (len(shape) - d - 1)
+    return [tuple(slice(i, i + 1) for i in head) + (slice(j, j + run),) + tail
+            for head in product(*map(range, shape[:d])) for j in range(0, shape[d], run)]
 
 
 def _radial_cutoff(eta: CutoffFunction, X) -> np.ndarray:
@@ -754,7 +765,8 @@ def _radial_cutoff(eta: CutoffFunction, X) -> np.ndarray:
 
 
 def _pool():
-    """The module's thread pool, one worker per usable CPU, created on first use.
+    """The module's thread pool, one worker per usable CPU up to ``_POOL_WORKERS``,
+    created on first use.
 
     A forked child has none of its parent's threads, so it makes its own.
     """
@@ -766,7 +778,7 @@ def _pool():
             workers = len(os.sched_getaffinity(0))
         except AttributeError:  # no CPU affinity on this platform
             workers = os.cpu_count() or 1
-        _POOL = (os.getpid(), ThreadPoolExecutor(max_workers=workers))
+        _POOL = (os.getpid(), ThreadPoolExecutor(max_workers=min(workers, _POOL_WORKERS)))
     return _POOL[1]
 
 
@@ -789,14 +801,16 @@ def _tensor_oscillatory(
     evaluated on the grid, which spans the axes of m (every axis for a
     radial amplitude); every other axis contributes the sum of its weights.
 
-    Blocks: the grid is split along its first axis into near-equal row
-    blocks, one per ``_BLOCK_NODES`` nodes rounded up.  Each block is
-    contracted with the axis weights, trailing axes first and its rows last,
-    into one complex partial; the blocks run on the module's thread pool
-    (numpy releases the GIL inside its loops), and their partials are added
-    in block order.  The split depends on the grid shape only, and no block
-    calls BLAS, so the result is the same bitwise on any number of cores.
-    A grid of one block runs inline.
+    Blocks: ``_grid_blocks`` cuts the grid into blocks of at most
+    ``_BLOCK_NODES`` nodes, in rows of the first axis where a row fits.  Each
+    block is contracted with its slices of the axis weights, the last axis
+    first, into one complex partial; the blocks run on the module's thread
+    pool (numpy releases the GIL inside its loops), so at most
+    ``_POOL_WORKERS`` blocks are in memory at once, and their partials are
+    added in block order.  The cut depends on the grid shape only, and no
+    block calls BLAS, so the result is the same bitwise on any number of
+    cores.  At tau = 0 under a product amplitude nothing is on the grid, and
+    the value is the product of the axis sums.
 
     The first two levels of every tau are built and budget-checked before any
     tau is evaluated.
@@ -818,36 +832,31 @@ def _tensor_oscillatory(
         for p, k, (x, w) in zip(parts, phi.nu, rules):
             w = w * np.exp(1j * tau * p.evaluate([x])) * (x**k if k else 1.0)
             weights.append(w if radial else w * phi.cutoff(x))
+        value = 2.0 ** len(folded) * np.exp(1j * tau * float(const))
         phase = grid_phase.scale(Fraction(tau))
+        if not (radial or phase.terms):
+            return value * prod(np.sum(w) for w in weights)
+        for i in range(f.n):
+            if i not in on_grid:
+                value = value * np.sum(weights[i])
         nodes = [rules[i][0] for i in on_grid]
         grid_weights = [weights[i] for i in on_grid]
-        # one block per _BLOCK_NODES nodes, rounded up, with the rows spread
-        # evenly over them (at least one row each)
-        count = -(-len(nodes[0]) * prod(len(x) for x in nodes[1:]) // _BLOCK_NODES)
-        rows = -(-len(nodes[0]) // count)
 
-        def block(start):
-            coords = [nodes[0][start : start + rows]] + nodes[1:]
+        def block(cut):
+            coords = [x[s] for x, s in zip(nodes, cut)]
             X = [x.reshape((-1,) + (1,) * (len(coords) - 1 - k)) for k, x in enumerate(coords)]
             grid = _radial_cutoff(phi.cutoff, X) if radial else None
             if phase.terms:
                 wave = phase.evaluate(X) * 1j
                 np.exp(wave, out=wave)
                 grid = wave if grid is None else wave * grid
-            if grid is None:  # tau = 0 under a product amplitude
-                grid = np.ones((1,) * len(X))
-            for w in reversed(grid_weights[1:]):
-                grid = _contract(grid, w)
-            return _contract(grid, grid_weights[0][start : start + rows])
+            for w, s in zip(reversed(grid_weights), reversed(cut)):
+                grid = np.einsum("...j,j->...", grid, w[s])
+            return grid
 
-        starts = range(0, len(nodes[0]), rows)
         total = 0j
-        for partial in (_pool().map if len(starts) > 1 else map)(block, starts):
+        for partial in _pool().map(block, _grid_blocks([len(x) for x in nodes])):
             total += partial
-        value = 2.0 ** len(folded) * np.exp(1j * tau * float(const))
-        for i in range(f.n):
-            if i not in on_grid:
-                value = value * np.sum(weights[i])
         return value * total
 
     samples = []

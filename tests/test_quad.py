@@ -3,7 +3,7 @@ import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from math import ceil, gamma, pi, sqrt
+from math import ceil, gamma, pi, prod, sqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -514,6 +514,7 @@ def test_sign_fold_pivot_axes(phase, nu, axes):
     ("x1^4 + x1*x2^2 + x2^4", (0, 2), "product", 10.0),  # x2 folded
     ("x1^2 + x1*x2 + x2^4", (0, 0), "radial", 10.0),     # x1 folded, radial amplitude
     ("x1^4 + x2^2", (2, 0), "radial", 10.0),             # both folded, no mixed term
+    ("x2^2 + x1*x2 + x1^4", (2, 0), "product", 0.0),     # tau = 0: nothing on the grid
 ])
 def test_folded_tensor_samples_match_dense_unfolded_reference(phase, nu, shape, tau):
     phi = TestFunction(nu=nu, cutoff=ETA, shape=shape)
@@ -545,23 +546,52 @@ def test_radial_cutoff_is_bitwise_the_full_evaluation(eta):
 def test_tensor_samples_do_not_depend_on_the_worker_count(monkeypatch, phase, n, shape, tau, tol):
     f = parse(phase, n)
     phi = TestFunction(nu=(0,) * n, cutoff=ETA, shape=shape)
-    pooled = []
-    real_pool = quad._pool
-
-    def counting_pool():
-        pooled.append(1)
-        return real_pool()
-
-    monkeypatch.setattr(quad, "_pool", counting_pool)
     reference = _tensor(f, phi, tau, tol)
     assert reference.converged
-    assert pooled  # some level of this grid spans more than one block
+    counts = []
+
+    def serial_map(fn, blocks):
+        blocks = list(blocks)
+        counts.append(len(blocks))
+        return map(fn, blocks)
+
     with ThreadPoolExecutor(1) as one, ThreadPoolExecutor(3) as three:
-        for pool in (SimpleNamespace(map=map), one, three):
+        for pool in (SimpleNamespace(map=serial_map), one, three):
             monkeypatch.setattr(quad, "_pool", lambda: pool)
             s = _tensor(f, phi, tau, tol)
             assert (s.value, s.error_estimate, s.converged) == (
                 reference.value, reference.error_estimate, reference.converged)
+    assert max(counts) > 1  # some level of this grid spans more than one block
+
+
+@pytest.mark.parametrize("shape", [(40, 30), (7, 50, 60), (5, 3, 2500), (2, 999)])
+def test_grid_blocks_tile_the_grid_within_the_node_bound(monkeypatch, shape):
+    # a row of (7, 50, 60) and one axis of (5, 3, 2500) each exceed the bound
+    monkeypatch.setattr(quad, "_BLOCK_NODES", 1000)
+    covered = np.zeros(shape, dtype=int)
+    for cut in quad._grid_blocks(shape):
+        assert covered[cut].size <= 1000
+        covered[cut] += 1
+    assert np.all(covered == 1)
+
+
+def test_grid_blocks_bound_an_n3_grid_with_large_rows():
+    shape = (100, 1000, 1000)  # one row of the first axis holds 10^6 nodes
+    blocks = quad._grid_blocks(shape)
+    sizes = [prod(len(range(*s.indices(k))) for s, k in zip(cut, shape)) for cut in blocks]
+    assert max(sizes) <= quad._BLOCK_NODES
+    assert sum(sizes) == prod(shape)
+
+
+def test_pool_memory_does_not_grow_with_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(quad, "_POOL", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    pool = quad._pool()
+    try:
+        assert pool._max_workers == quad._POOL_WORKERS
+        assert quad._POOL_WORKERS * quad._BLOCK_NODES <= 2_000_000
+    finally:
+        pool.shutdown()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
