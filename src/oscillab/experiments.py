@@ -166,11 +166,11 @@ def zero_locus_is_origin(f: Polynomial) -> bool:
 
 
 def _diagonal_oracle(f: Polynomial, nu: Tuple[int, ...]):
-    """Leading coefficient for phases sum_i c_i x_i^{d_i} with even d_i, c_i > 0.
+    """Leading coefficient for phases sum_i c_i x_i^{d_i} with even d_i, c_i of either sign.
 
     Each axis factor of the product-bump integral has the closed leading term
-    2 * (1/d) Gamma(b/d) e^{i pi b/(2d)} c^{-b/d} with b = nu_i + 1, so the
-    product is an independent check on fitted coefficients.
+    2 * (1/d) Gamma(b/d) e^{sign(c) i pi b/(2d)} |c|^{-b/d} with b = nu_i + 1,
+    so the product is an independent check on fitted coefficients.
     """
     parts = f.axis_parts()
     if parts is None or parts[1] != 0 or any(len(p.terms) != 1 for p in parts[0]):
@@ -179,13 +179,10 @@ def _diagonal_oracle(f: Polynomial, nu: Tuple[int, ...]):
     alpha = 0.0
     for p, k in zip(parts[0], nu):
         (((di,), ci),) = p.terms.items()
-        if di % 2 or ci <= 0:
-            return None
-        b = k + 1
-        if b % 2 == 0:
-            return None  # odd axis integrand: leading term cancels on the full line
-        coeff = coeff * 2.0 * erdelyi_leading(b, di, float(ci), 1.0)
-        alpha -= b / di
+        if di % 2 or k % 2:
+            return None  # odd k: odd axis integrand, its leading term cancels on the full line
+        coeff = coeff * 2.0 * erdelyi_leading(k + 1, di, float(ci), 1.0)
+        alpha -= (k + 1) / di
     return {"alpha": alpha, "coeff": [float(coeff.real), float(coeff.imag)]}
 
 
@@ -295,9 +292,7 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
     sym_taus = geometric_grid(cfg.tau_min, min(cfg.tau_max, LAB_SYM_TAU_MAX), LAB_SYM_TAU_COUNT)
     sym_series = []
     for tau in map(float, sym_taus):
-        parts = [chart_parity_integral(d, ch.h, sc.chart_weight(ch.index), tau,
-                                       tol=cfg.tol, eta=eta, eps=LAB_OVERLAP)
-                 for ch in charts]
+        parts = [chart_parity_integral(ch, sc, tau, cfg.tol) for ch in charts]
         sym_series.append(OscillatorySample(
             tau, sum((s.value for s in parts), 0j), sum((s.error_estimate for s in parts), 0.0),
             all(s.converged for s in parts),

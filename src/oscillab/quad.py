@@ -11,7 +11,7 @@
    profile call per pure-power axis across all of its taus.
 2. Radial: a homogeneous phase of degree >= 1 in n = 2 with a radial
    amplitude reduces to a circle integral of the profile
-   (``radial_reduce``), cut at the exact zeros of the phase on the circle.
+   (``radial_reduce``), cut at the exact zeros of the phase by ``_cut_rule``.
 3. Tensor: everything else in n <= 3 goes to tensor-product Gauss grids
    whose panels each hold a bounded number of oscillation wavelengths.  The
    grid is folded by the sign flips x_i -> -x_i that fix f and the
@@ -28,10 +28,10 @@
 The separable route takes any n; the other routes reject n >= 4 before
 any grid work.  ``radial_reduce`` also takes n = 3 on the sphere, but only
 when called directly.  Every error estimate compares successive
-refinement levels through one rule, ``_refine``.  Estimates are heuristic
-diagnostics, not certified bounds.  All accumulation orders are
-deterministic and independent of the number of threads, so results are
-reproducible bitwise.
+refinement levels through one rule, ``_refine``, plus roundoff on Filon
+levels.  Estimates are heuristic diagnostics, not certified bounds.  All
+accumulation orders are deterministic and independent of the number of
+threads, so results are reproducible bitwise.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 from math import ceil, comb, gamma, pi, prod
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .bump import CutoffFunction, TestFunction
+from .bump import CutoffFunction, SymmetricCutoff, TestFunction
 from .poly import Polynomial, circle_zeros, real_roots
 
 __all__ = [
@@ -95,6 +95,24 @@ def _composite(edges: np.ndarray, order: int):
     nodes = ((0.5 * (hi + lo))[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def _cut_rule(cuts: tuple, zero: tuple, tau: float, m: int):
+    """Composite 16-point Gauss rule on [cuts[0], cuts[-1]] at level m, cut at ``cuts``.
+
+    A piece with no end that is a zero of h (``zero``) gets m uniform panels.
+    Any other piece is split at its midpoint into halves of m uniform panels;
+    a half at a zero, of length L, where a profile at tau h varies fastest, is
+    also graded geometrically toward it down to L / ((1 + tau) m).
+    """
+    edges = [np.array(cuts[:1], dtype=float)]
+    for a, b, za, zb in zip(cuts, cuts[1:], zero, zero[1:]):
+        half = 0.5 * (b - a)
+        uniform = np.linspace(0.0, half, m + 1)
+        sa, sb = (np.union1d(np.geomspace(half / ((1.0 + tau) * m), half, m + 1), uniform)
+                  if z else uniform for z in (za, zb))
+        edges += [a + sa[1:-1], b - sb[::-1]] if za or zb else [np.linspace(a, b, m + 1)[1:]]
+    return _composite(np.concatenate(edges), 16)
 
 
 def _refine(levels, tol: float):
@@ -431,9 +449,10 @@ def _halfline_profile(ts: np.ndarray, d: int, npow: int, eta: CutoffFunction, to
         graded = u0 * np.linspace(0.0, 1.0, m + 1) ** 3
         return np.concatenate([graded[:-1], uniform])
 
-    levels = ((head + _filon_integral(ts, panel_edges(m), gfun)[0], 0.0) for m in _LEVELS)
-    vals, errs, _ = _refine(levels, tol)
-    return vals, errs
+    head_size = eta.a ** (npow + 1) / (npow + 1) if c <= 1.0 else 0.0  # int_0^a y^npow dy
+    levels = ((head + tail, _ROUNDOFF * (size + head_size))
+              for tail, size in (_filon_integral(ts, panel_edges(m), gfun) for m in _LEVELS))
+    return _refine(levels, tol)[:2]
 
 
 def oscillatory_profile(
@@ -956,14 +975,11 @@ def radial_reduce(
     Writes the integral as int_{S^{n-1}} omega^nu R(tau h(omega)) dsigma with
     R(t) = int_0^inf exp(i t r^d) r^{n-1+|nu|} eta(r) dr and h = f restricted
     to the unit sphere.  In n = 2 a circle on which h has no zero takes
-    periodic trapezoid levels.  Otherwise the circle is cut at the exact zeros
-    of h (``poly.circle_zeros``), next to which R(tau h) changes on a scale
-    that shrinks with tau.  Each arc is split at its midpoint, and each half,
-    of length L, is graded geometrically toward its zero and united with
-    uniform panels; the innermost panel, L / ((1 + tau) m), shrinks with the
-    level m.  In n = 3 the sphere takes product Gauss x trapezoid levels.
-    Every level is one batched profile call, with inner error sum |w| perr,
-    and the levels stop by ``_refine``.
+    periodic trapezoid levels, any other circle the levels m of ``_cut_rule``
+    (shared with the chart integral), cut at the exact zeros of h
+    (``poly.circle_zeros``).  In n = 3 the sphere takes product Gauss x
+    trapezoid levels.  Every level is one batched profile call, with inner
+    error sum |w| perr, and the levels stop by ``_refine``.
     """
     d = f.homogeneous_degree()
     if d is None:
@@ -993,16 +1009,10 @@ def radial_reduce(
 
             levels = map(circle_level, (64, 128, 256, 512, 1024, 2048))
         else:
-            arcs = list(zip(zeros, zeros[1:] + [zeros[0] + 2 * pi]))
+            cuts = tuple(zeros + [zeros[0] + 2 * pi])
 
             def arc_level(m):
-                rules = []
-                for a, b in arcs:
-                    half = 0.5 * (b - a)
-                    inner = half / ((1.0 + tau) * m)
-                    s = np.union1d(np.geomspace(inner, half, m + 1), np.linspace(0.0, half, m + 1))
-                    rules.append(_composite(np.concatenate([a + s[:-1], b - s[::-1]]), 16))
-                nodes, wts = (np.concatenate(part) for part in zip(*rules))
+                nodes, wts = _cut_rule(cuts, (True,) * len(cuts), tau, m)
                 vals, perr = integrand(nodes)
                 return np.dot(vals, wts), float(np.dot(np.abs(wts), perr))
 
@@ -1038,37 +1048,32 @@ def radial_reduce(
 # ---------------------------------------------------------------------------
 
 
-def chart_parity_integral(
-    d: int,
-    h: Polynomial,
-    theta: Callable,
-    tau: float,
-    tol: float = 1e-10,
-    eta: Optional[CutoffFunction] = None,
-    eps: float = 0.25,
-) -> OscillatorySample:
+@lru_cache(maxsize=None)
+def _chart_cuts(h: Polynomial, lim: float):
+    """Cuts of [-lim, lim] at the real zeros of h inside it, and which cuts are zeros."""
+    roots = tuple(r for r in real_roots(h, -lim, lim) if -lim < r < lim)
+    return (-lim,) + roots + (lim,), (False,) + (True,) * len(roots) + (False,)
+
+
+def chart_parity_integral(chart, sc: SymmetricCutoff, tau: float,
+                          tol: float = 1e-10) -> OscillatorySample:
     """Chart integral int int exp(i tau y^d h(v)) |y| eta(y) theta(v) dy dv, n = 2.
 
-    The chart x = (y, y v) (or its coordinate swap) has Jacobian |y|, so the
-    sum over the two charts of ``SymmetricCutoff.chart_weight`` is
-    int exp(i tau f) chi dx for the pushed-down cutoff chi.  v ranges over
-    |v| < 1 + eps, the support of theta.
+    h, d, theta and eta are ``chart.h``, its multiplicity, ``sc.chart_weight``
+    and ``sc.eta``.  The chart x = (y, y v) (or its swap) has Jacobian |y|, so
+    the two ``rlct.blowup_charts`` of f sum to int exp(i tau f) chi dx, chi =
+    ``sc``.  v ranges over |v| < 1 + eps, the support of theta, on ``_cut_rule``.
     """
-    if h.n != 1:
+    if chart.h.n != 1:
         raise ValueError("chart polynomial must be univariate (n = 2)")
-    eta = eta or CutoffFunction(1.0, 2.0)
-    lim = 1.0 + eps
-    prof_tol = tol / (8 * lim)
+    cuts, zero = _chart_cuts(chart.h, 1.0 + sc.eps)
+    theta = sc.chart_weight(chart.index)
 
-    # the outer integrand v -> P(tau h(v)) theta(v) is smooth and barely
-    # oscillatory (the profile's leading phase is constant), so fixed-order
-    # Gauss with panel doubling converges fast; each level is one batched
-    # profile evaluation over all outer nodes
     def level(m):
-        nodes, wgts = _composite(np.linspace(-lim, lim, m + 1), 16)
-        cvals = np.asarray(h.evaluate([nodes])) + np.zeros_like(nodes)
-        vals, perr = oscillatory_profile(tau * cvals, d, 1, eta, tol=prof_tol, full_line=True,
-                                         absolute=True)
+        nodes, wgts = _cut_rule(cuts, zero, tau, m)
+        cvals = np.asarray(chart.h.evaluate([nodes])) + np.zeros_like(nodes)
+        vals, perr = oscillatory_profile(tau * cvals, chart.f_multiplicity, 1, sc.eta,
+                                         tol=tol / (8 * cuts[-1]), full_line=True, absolute=True)
         return complex(np.dot(vals * theta(nodes), wgts)), float(np.dot(np.abs(wgts), perr))
 
     v, e, conv = _refine(map(level, (8, 16, 32, 64)), tol)

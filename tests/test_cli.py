@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import takewhile
 from pathlib import Path
 
 import pytest
 
-from oscillab import cli
+from oscillab import cli, experiments
 from oscillab.cli import main
 
 
@@ -149,16 +150,35 @@ def test_lab_hypothesis_failure_exit_code(capsys):
     assert "homogeneous" in err
 
 
-def test_lab_with_nonconverged_samples_exits_2(capsys):
-    # the odd cubic's chart samples miss tol, so the fit over them does not
-    # read converged either; the generic series and its fit converge
-    code, out, _ = run(capsys, "theorem3-lab", "--phase", "x1^3 + x2^3")
+def test_lab_with_nonconverged_samples_exits_2(capsys, monkeypatch):
+    # one chart sample that misses tol makes its chart-sum row, and the fit
+    # that keeps it, non-converged; the generic series and its fit converge
+    chart = experiments.chart_parity_integral
+    calls = []
+
+    def first_call_misses(*args, **kwargs):
+        calls.append(None)
+        sample = chart(*args, **kwargs)
+        return replace(sample, converged=False) if len(calls) == 1 else sample
+
+    monkeypatch.setattr(experiments, "chart_parity_integral", first_call_misses)
+    code, out, _ = run(capsys, "theorem3-lab", "--phase", "x1^4 + x2^4", "--tau-min", "100",
+                       "--tau-max", "1000", "--tau-count", "8")
     report = json.loads(out)
-    assert not any(row["converged"] for row in report["series"]["symmetric"])
+    assert [row["converged"] for row in report["series"]["symmetric"]].count(False) == 1
     assert not report["symmetric_fit"]["converged"]
     assert all(row["converged"] for row in report["series"]["generic"])
     assert report["generic_fit"]["converged"]
     assert code == 2
+
+
+def test_lab_on_an_indefinite_phase_exits_0(capsys):
+    # x1^4 - x2^4 vanishes on the lines x2 = +-x1, inside both blowup charts
+    code, out, _ = run(capsys, "theorem3-lab", "--phase", "x1^4 - x2^4")
+    report = json.loads(out)
+    assert not report["hypothesis_checks"]["zero_locus_origin_only"]
+    assert all(row["converged"] for rows in report["series"].values() for row in rows)
+    assert code == 0
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

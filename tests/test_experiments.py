@@ -1,6 +1,6 @@
 import json
 from dataclasses import replace
-from math import pi
+from math import gamma, pi
 
 import numpy as np
 import pytest
@@ -130,7 +130,7 @@ def test_lab_evaluates_each_integral_once(monkeypatch, cutoff, series):
     calls = {"chart": [], "series": []}
 
     def chart(*args, **kwargs):
-        calls["chart"].append(args[3])  # tau
+        calls["chart"].append(args[2])  # tau
         return chart_parity_integral(*args, **kwargs)
 
     def evaluate(f, phi, taus, *args, **kwargs):
@@ -169,6 +169,18 @@ def test_lab_measurements(lab_report):
     probe = rep.coefficient_probes["symmetric"][0]
     assert probe["classification"] == "nonzero"
     assert probe["coeff"][1] == pytest.approx(pi, rel=0.05)
+
+
+@pytest.mark.parametrize("phase,coeff", [("x1^2 - x2^2", pi),
+                                         ("x1^4 - x2^4", gamma(0.25) ** 2 / 4)])
+def test_diagonal_oracle_takes_negative_coefficients(phase, coeff):
+    # the axis factors e^{+i pi/(2d)} and e^{-i pi/(2d)} cancel to a real oracle.
+    # The lab's own tau window: below tau = 1e3 the generic series of
+    # x1^2 - x2^2 still carries a 3.6e-10 remainder that its noise does not count
+    rep = run_theorem3_lab(phase, ExperimentConfig())
+    assert rep.oracle["coeff"] == [pytest.approx(coeff, rel=1e-15), 0.0]
+    for probe in (rep.coefficient_probes["symmetric"][0], rep.coefficient_probes["generic"][0]):
+        assert abs(complex(*probe["coeff"]) - coeff) <= probe["noise"]
 
 
 def test_lab_json_export_round_trip(lab_report):

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
-from oscillab.bump import TestFunction, make_cutoff
+from oscillab.bump import SymmetricCutoff, TestFunction, make_cutoff
 from oscillab.fit import fit_leading, geometric_grid
 from oscillab.poly import Polynomial, circle_zeros, parse
 from oscillab import quad
+from oscillab.rlct import BlowupChart, blowup_charts
 from oscillab.quad import (
     DEFAULT_MAX_PANELS,
     OscillatorySample,
@@ -144,6 +145,13 @@ def test_profile_agrees_with_leading_term_at_large_t():
         c = 1.0 / d
         lead = gamma(c) / d * np.exp(1j * pi * c / 2.0) * t ** (-c)
         assert abs(vals[0] - lead) / abs(lead) < 1e-6
+
+
+def test_profile_error_is_floored_at_roundoff():
+    # the Filon levels agree to 5e-19 here, below what float arithmetic can
+    # resolve; the estimate counts roundoff in the head's int_0^a y dy at least
+    _, errs = oscillatory_profile([1e4], 2, 1, ETA, tol=1e-12)
+    assert quad._ROUNDOFF * ETA.a**2 / 2 <= errs[0] <= 1e-14
 
 
 def test_profile_at_zero_is_plain_integral():
@@ -730,7 +738,29 @@ def test_radial_reduce_validation():
 # -- blowup-chart integrals -----------------------------------------------------
 
 
+SC = SymmetricCutoff(n=2, eps=0.25, eta=ETA)
+
+
 def test_chart_parity_validation():
-    h = parse("1 + x1^4 + x2^4", 2)
+    chart = BlowupChart(index=1, h=parse("1 + x1^4 + x2^4", 2), f_multiplicity=4,
+                        jacobian_multiplicity=1)
     with pytest.raises(ValueError):
-        chart_parity_integral(4, h, lambda v: 1.0, 10.0)
+        chart_parity_integral(chart, SC, 10.0)
+
+
+@pytest.mark.parametrize("tau", [1e2, 1e3])
+def test_chart_sum_of_an_indefinite_quadratic_form_is_pi_over_tau(tau):
+    # h = 1 - v^2 vanishes at v = +-1, inside both charts.  chi = 1 near 0, so
+    # stationary phase gives pi / tau for x1^2 - x2^2 up to O(tau^-inf)
+    parts = [chart_parity_integral(ch, SC, tau, tol=1e-10)
+             for ch in blowup_charts(parse("x1^2 - x2^2", 2))]
+    assert all(p.converged for p in parts)
+    assert abs(sum(p.value for p in parts) - pi / tau) <= 1e-10
+
+
+def test_chart_cuts_at_the_zeros_of_h_only():
+    # no real zero: one piece of uniform panels, the grid the charts always had
+    nodes, _ = quad._cut_rule(*quad._chart_cuts(parse("1 + x1^4", 1), 1.25), 1e3, 8)
+    assert np.array_equal(nodes, quad._composite(np.linspace(-1.25, 1.25, 9), 16)[0])
+    cuts, zero = quad._chart_cuts(parse("1 - x1^2", 1), 1.25)
+    assert cuts == (-1.25, -1.0, 1.0, 1.25) and zero == (False, True, True, False)
