@@ -23,7 +23,6 @@ from .nondegen import SearchOptions, check_R_nondegenerate
 from .poly import Polynomial, circle_zeros, parse
 from .polytope import is_convenient, newton_polytope
 from .quad import (
-    OscillatorySample,
     chart_parity_integral,
     erdelyi_leading,
     eval_oscillatory_series,
@@ -290,13 +289,7 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
 
     # chart-sum series for the blowup-symmetric cutoff
     sym_taus = geometric_grid(cfg.tau_min, min(cfg.tau_max, LAB_SYM_TAU_MAX), LAB_SYM_TAU_COUNT)
-    sym_series = []
-    for tau in map(float, sym_taus):
-        parts = [chart_parity_integral(ch, sc, tau, cfg.tol) for ch in charts]
-        sym_series.append(OscillatorySample(
-            tau, sum((s.value for s in parts), 0j), sum((s.error_estimate for s in parts), 0.0),
-            all(s.converged for s in parts),
-        ))
+    sym_series = [chart_parity_integral(charts, sc, tau, cfg.tol) for tau in map(float, sym_taus)]
 
     # generic product-bump series over the full tau window
     taus = geometric_grid(cfg.tau_min, cfg.tau_max, cfg.tau_count)

@@ -25,6 +25,11 @@
    without BLAS.  A tau series checks the panel budget of every tau before
    it evaluates any.
 
+``chart_parity_integral`` sums the n = 2 blowup-chart integrals of one
+phase on the same ``_cut_rule`` as the radial route: charts whose h agree up
+to sign share one profile array, an even h is integrated over v > 0 and
+doubled, and each level is one profile call for all charts.
+
 The separable route takes any n; the other routes reject n >= 4 before
 any grid work.  ``radial_reduce`` also takes n = 3 on the sphere, but only
 when called directly.  Every error estimate compares successive
@@ -272,6 +277,8 @@ def oscillatory_profile_reference(
 # panels' phase factors by one matmul.  They are computed without scipy: a
 # 40-point Gauss rule for theta <= 16, upward recurrence from j_0 and j_1
 # above it, where k < theta keeps the recurrence stable (DLMF 10.51.1).
+# The t-independent part of each level (its edges, the Legendre coefficients
+# of the integrand and its absolute integral) is cached per (d, npow, eta, m).
 # ---------------------------------------------------------------------------
 
 _FILON_ORDER = 12
@@ -384,12 +391,12 @@ def _filon_moment_sum(ts: np.ndarray, edges: np.ndarray, coeffs: np.ndarray) -> 
     return out
 
 
-def _filon_integral(ts: np.ndarray, edges: np.ndarray, gfun):
-    """int e^{itu} g(u) du over the union of panels, batched over ts, and int |g| du."""
+def _filon_coefficients(edges: np.ndarray, gfun):
+    """Legendre coefficients of g on every panel of ``edges``, and int |g| du."""
     nodes, weights = _composite(edges, _FILON_ORDER)
     g = gfun(nodes)
     coeffs = g.reshape(-1, _FILON_ORDER) @ _filon_projection(_FILON_ORDER).T
-    return _filon_moment_sum(ts, edges, coeffs), float(np.dot(np.abs(g), weights))
+    return coeffs, float(np.dot(np.abs(g), weights))
 
 
 def _oscillatory_head(ts: np.ndarray, d: int, npow: int, a: float) -> np.ndarray:
@@ -421,16 +428,30 @@ def _oscillatory_head(ts: np.ndarray, d: int, npow: int, a: float) -> np.ndarray
     return out
 
 
+@lru_cache(maxsize=None)
+def _profile_level(d: int, npow: int, eta: CutoffFunction, m: int):
+    """The t-independent part of a Filon level of the half-line profile, read-only.
+
+    Returns the panel edges of level m in u = y^d (m uniform panels on
+    [a^d, b^d], and for c = (npow+1)/d > 1 also m panels graded toward 0,
+    where u^{c-1} has unbounded low-order derivatives), the Legendre
+    coefficients of g(u) = u^{c-1} eta(u^{1/d}) / d on every panel, and
+    int |g| du.
+    """
+    c = (npow + 1) / d
+    u0 = eta.a**d
+    edges = np.linspace(u0, eta.b**d, m + 1)
+    if c > 1.0:
+        edges = np.concatenate([u0 * np.linspace(0.0, 1.0, m + 1)[:-1] ** 3, edges])
+    coeffs, size = _filon_coefficients(edges, lambda u: u ** (c - 1.0) / d * eta(u ** (1.0 / d)))
+    edges.flags.writeable = coeffs.flags.writeable = False
+    return edges, coeffs, size
+
+
 def _halfline_profile(ts: np.ndarray, d: int, npow: int, eta: CutoffFunction, tol: float):
     """P(t) = int_0^b e^{ity^d} y^npow eta(y) dy for t >= 0, batched, with errors."""
     c = (npow + 1) / d
     u0 = eta.a**d
-    B = eta.b**d
-
-    def gfun(u):
-        u = np.asarray(u, dtype=float)
-        return u ** (c - 1.0) / d * eta(u ** (1.0 / d))
-
     if c < 1.0:
         head = _oscillatory_head(ts, d, npow, eta.a)
     elif c == 1.0:
@@ -441,18 +462,13 @@ def _halfline_profile(ts: np.ndarray, d: int, npow: int, eta: CutoffFunction, to
     else:
         head = np.zeros(len(ts), dtype=complex)
 
-    def panel_edges(m):
-        uniform = np.linspace(u0, B, m + 1)
-        if c <= 1.0:
-            return uniform
-        # graded toward 0: u^{c-1} has unbounded low-order derivatives there
-        graded = u0 * np.linspace(0.0, 1.0, m + 1) ** 3
-        return np.concatenate([graded[:-1], uniform])
-
     head_size = eta.a ** (npow + 1) / (npow + 1) if c <= 1.0 else 0.0  # int_0^a y^npow dy
-    levels = ((head + tail, _ROUNDOFF * (size + head_size))
-              for tail, size in (_filon_integral(ts, panel_edges(m), gfun) for m in _LEVELS))
-    return _refine(levels, tol)[:2]
+
+    def level(m):
+        edges, coeffs, size = _profile_level(d, npow, eta, m)
+        return head + _filon_moment_sum(ts, edges, coeffs), _ROUNDOFF * (size + head_size)
+
+    return _refine(map(level, _LEVELS), tol)[:2]
 
 
 def oscillatory_profile(
@@ -523,6 +539,11 @@ def _segment(p: Polynomial, x0: float, x1: float) -> _Segment:
     return _Segment(x0, float(D), S, float(c[0]), sign, q, float(polyval(S, q)))
 
 
+def _is_even(p: Polynomial) -> bool:
+    """True when the univariate p has only even exponents."""
+    return all(e % 2 == 0 for (e,) in p.terms)
+
+
 @lru_cache(maxsize=None)
 def _axis_segments(p: Polynomial, b: float):
     """(even, segments) of p on [0, b] when p is even, else on [-b, b].
@@ -530,7 +551,7 @@ def _axis_segments(p: Polynomial, b: float):
     Interior critical points are the exact real roots of p'; a piece with
     critical points at both ends is split at its midpoint.
     """
-    even = all(e % 2 == 0 for (e,) in p.terms)
+    even = _is_even(p)
     dp = p.partial(1)
     crit = set() if dp.is_zero() else {r for r in real_roots(dp, -b, b) if -b < r < b}
     points = sorted({0.0 if even else -b, b} | {r for r in crit if not even or r >= 0})
@@ -617,8 +638,9 @@ def _axis_filon(p: Polynomial, power: int, eta: CutoffFunction, tau: float, tol:
                     # 0 where eta has underflowed, also at a critical end +-b
                     return np.divide(g, slope, out=np.zeros_like(g), where=g != 0)
 
-                F, tail_size = _filon_integral(np.array([float(tau)]), tail, G)
-                part += F[0] if seg.sign > 0 else np.conj(F[0])
+                coeffs, tail_size = _filon_coefficients(tail, G)
+                F = _filon_moment_sum(np.array([float(tau)]), tail, coeffs)[0]
+                part += F if seg.sign > 0 else np.conj(F)
                 size += tail_size
             total += np.exp(1j * tau * seg.p0) * part
         return (2.0 * total, 2.0 * _ROUNDOFF * size) if even else (total, _ROUNDOFF * size)
@@ -1050,31 +1072,68 @@ def radial_reduce(
 
 @lru_cache(maxsize=None)
 def _chart_cuts(h: Polynomial, lim: float):
-    """Cuts of [-lim, lim] at the real zeros of h inside it, and which cuts are zeros."""
+    """Cuts of [-lim, lim] at the real zeros of h inside it, and which cuts are zeros.
+
+    An even h gets the mirror image of its positive zeros, so that its rule
+    is symmetric about 0.
+    """
     roots = tuple(r for r in real_roots(h, -lim, lim) if -lim < r < lim)
+    if _is_even(h):
+        pos = tuple(r for r in roots if r > 0)
+        roots = tuple(-r for r in reversed(pos)) + tuple(r for r in roots if r == 0) + pos
     return (-lim,) + roots + (lim,), (False,) + (True,) * len(roots) + (False,)
 
 
-def chart_parity_integral(chart, sc: SymmetricCutoff, tau: float,
+def chart_parity_integral(charts, sc: SymmetricCutoff, tau: float,
                           tol: float = 1e-10) -> OscillatorySample:
-    """Chart integral int int exp(i tau y^d h(v)) |y| eta(y) theta(v) dy dv, n = 2.
+    """Sum over ``charts`` of int int exp(i tau y^d h(v)) |y| eta(y) theta(v) dy dv, n = 2.
 
-    h, d, theta and eta are ``chart.h``, its multiplicity, ``sc.chart_weight``
-    and ``sc.eta``.  The chart x = (y, y v) (or its swap) has Jacobian |y|, so
-    the two ``rlct.blowup_charts`` of f sum to int exp(i tau f) chi dx, chi =
-    ``sc``.  v ranges over |v| < 1 + eps, the support of theta, on ``_cut_rule``.
+    h, d and theta are a chart's ``h``, its multiplicity and
+    ``sc.chart_weight`` of its index; eta is ``sc.eta``.  The chart
+    x = (y, y v) (or its swap) has Jacobian |y|, so the two
+    ``rlct.blowup_charts`` of f sum to int exp(i tau f) chi dx, chi = ``sc``.
+    v ranges over |v| < 1 + eps, the support of theta, on ``_cut_rule``.
+
+    The inner y integral is the profile P(tau h(v)).  Charts whose h agree up
+    to sign share one profile array: the real weight |y| eta gives
+    P(-t) = conj P(t).  An even h, with the even theta, takes the v > 0 half
+    of its symmetric rule, doubled.  Each level m evaluates every group in one
+    profile call, with error sum over charts of fold x sum |w| perr, and one
+    ``_refine`` runs over the sum to ``tol``.
     """
-    if chart.h.n != 1:
-        raise ValueError("chart polynomial must be univariate (n = 2)")
-    cuts, zero = _chart_cuts(chart.h, 1.0 + sc.eps)
-    theta = sc.chart_weight(chart.index)
+    charts = list(charts)
+    if not charts or any(ch.h.n != 1 for ch in charts):
+        raise ValueError("charts must be univariate (n = 2), at least one")
+    d = charts[0].f_multiplicity
+    if any(ch.f_multiplicity != d for ch in charts):
+        raise ValueError("charts must share the multiplicity d of their phase")
+    lim = 1.0 + sc.eps
+    groups = {}  # h -> [(theta, conjugate)] of the charts with h or -h
+    for ch in charts:
+        h, conj = (-ch.h, True) if ch.h not in groups and -ch.h in groups else (ch.h, False)
+        groups.setdefault(h, []).append((sc.chart_weight(ch.index), conj))
 
     def level(m):
-        nodes, wgts = _cut_rule(cuts, zero, tau, m)
-        cvals = np.asarray(chart.h.evaluate([nodes])) + np.zeros_like(nodes)
-        vals, perr = oscillatory_profile(tau * cvals, chart.f_multiplicity, 1, sc.eta,
-                                         tol=tol / (8 * cuts[-1]), full_line=True, absolute=True)
-        return complex(np.dot(vals * theta(nodes), wgts)), float(np.dot(np.abs(wgts), perr))
+        rules = []
+        for h in groups:
+            nodes, wgts = _cut_rule(*_chart_cuts(h, lim), tau, m)
+            fold = 1.0
+            if _is_even(h):
+                keep = nodes > 0
+                nodes, wgts, fold = nodes[keep], wgts[keep], 2.0
+            rules.append((nodes, wgts, fold))
+        ts = np.concatenate([tau * (np.asarray(h.evaluate([nodes])) + np.zeros_like(nodes))
+                             for h, (nodes, _, _) in zip(groups, rules)])
+        vals, perr = oscillatory_profile(ts, d, 1, sc.eta, tol=tol / (8 * lim),
+                                         full_line=True, absolute=True)
+        value, err, start = 0j, 0.0, 0
+        for members, (nodes, wgts, fold) in zip(groups.values(), rules):
+            v, e = vals[start:start + len(nodes)], perr[start:start + len(nodes)]
+            start += len(nodes)
+            for theta, conj in members:
+                value += fold * complex(np.dot((np.conj(v) if conj else v) * theta(nodes), wgts))
+                err += fold * float(np.dot(np.abs(wgts), e))
+        return value, err
 
     v, e, conv = _refine(map(level, (8, 16, 32, 64)), tol)
     return OscillatorySample(float(tau), complex(v), float(e), conv)

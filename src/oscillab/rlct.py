@@ -2,9 +2,10 @@
 
 Three routes, all exact rationals: from user-supplied resolution data
 (min (k_j + 1) / m_j), from the single point-blowup of a homogeneous
-polynomial (n / d), and as the Newton principal-face candidate 1 / t0 with
-the even/odd parity bookkeeping that governs when the candidate is expected
-to be attained.  The candidate route reports, it never asserts.
+polynomial (n / d, or min(n / d, 1) when f certifiably changes sign), and as
+the Newton principal-face candidate 1 / t0 with the even/odd parity
+bookkeeping that governs when the candidate is expected to be attained.  The
+candidate route reports, it never asserts.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from math import prod
 from typing import Dict, List, Optional, Tuple
 
 from .nondegen import SearchOptions, check_R_nondegenerate
@@ -126,13 +129,26 @@ def _validity_flags(f: Polynomial, poly: NewtonPolytope,
     return flags
 
 
+def _changes_sign(f: Polynomial) -> bool:
+    """True when f takes both signs at points of {-1, 0, 1}^n, evaluated exactly."""
+    values = {sum(c * prod(x**k for x, k in zip(point, e)) for e, c in f.terms.items())
+              for point in product((-1, 0, 1), repeat=f.n)}
+    return min(values) < 0 < max(values)
+
+
 def rlct_homogeneous(
     f: Polynomial,
     nondegen_opts: Optional[SearchOptions] = SearchOptions(starts=40),
 ) -> RlctReport:
-    """rlct = n/d for a convenient homogeneous polynomial (point-blowup route).
+    """rlct of a convenient homogeneous polynomial by the point blowup.
 
-    The nondegeneracy verdict is attached as a validity flag, not a gate.
+    The origin's chart gives n/d.  When f takes both signs at a point of
+    {-1, 0, 1}^n (exact arithmetic), its real zeros form a hypersurface,
+    which bounds the threshold by 1, and the value is min(n/d, 1); flag
+    ``sign_change_certified`` says which case held.  Both values are exact
+    when the real zeros of f away from the origin are smooth and reduced;
+    otherwise they are upper bounds.  The nondegeneracy verdict is attached
+    as a validity flag, not a gate.
     """
     d = f.homogeneous_degree()
     if d is None:
@@ -141,8 +157,10 @@ def rlct_homogeneous(
     convenient, _ = is_convenient(poly)
     if not convenient:
         raise ValueError("rlct_homogeneous requires a convenient polynomial")
-    value = Fraction(f.n, d)
+    indefinite = _changes_sign(f)
+    value = min(Fraction(f.n, d), Fraction(1)) if indefinite else Fraction(f.n, d)
     flags = _validity_flags(f, poly, nondegen_opts)
+    flags["sign_change_certified"] = indefinite
     flags["value_at_most_one"] = value <= 1
     return RlctReport(value=value, method="homogeneous", flags=flags)
 

@@ -5,6 +5,7 @@ numbers; run with -s (or read the failure output) to see them.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gamma as gamma_fn
 from math import pi
 
@@ -85,6 +86,7 @@ def test_criterion_01_exact_rlct_fixtures():
                        f"3-route consistency on 5 fixtures={consistent}")
 
 
+@lru_cache(maxsize=None)
 def _polar_reference(f, chi, tau):
     """int exp(i tau f) chi dx by a dense polar rule, independent of the charts.
 
@@ -114,12 +116,11 @@ def test_criterion_02_chart_sum_is_the_cutoff_integral():
     ok = True
     details = []
     for tau in (1.0, 10.0):
-        parts = [chart_parity_integral(ch, sc, tau, tol=1e-10) for ch in blowup_charts(f)]
-        chart = sum((p.value for p in parts), 0j)
-        err = sum(p.error_estimate for p in parts)
-        gap = abs(chart - _polar_reference(f, sc, tau))
-        ok = ok and all(p.converged for p in parts) and gap <= err
-        details.append(f"tau={tau:g}: |chart - polar| = {gap:.2e} <= estimate {err:.2e}")
+        chart = chart_parity_integral(blowup_charts(f), sc, tau, tol=1e-10)
+        gap = abs(chart.value - _polar_reference(f, sc, tau))
+        ok = ok and chart.converged and gap <= chart.error_estimate
+        details.append(f"tau={tau:g}: |chart - polar| = {gap:.2e} "
+                       f"<= estimate {chart.error_estimate:.2e}")
     report_line(2, ok, "; ".join(details))
 
 
@@ -129,10 +130,25 @@ def test_chart_sum_at_real_zeros_of_h_is_the_cutoff_integral(phase, tau):
     # h vanishes inside the charts here; the chart rule is cut at those zeros
     f = parse(phase, 2)
     sc = SymmetricCutoff(n=2, eps=0.25, eta=ETA)
-    parts = [chart_parity_integral(ch, sc, tau, tol=1e-10) for ch in blowup_charts(f)]
-    gap = abs(sum((p.value for p in parts), 0j) - _polar_reference(f, sc, tau))
-    assert all(p.converged for p in parts)
-    assert gap <= sum(p.error_estimate for p in parts)
+    chart = chart_parity_integral(blowup_charts(f), sc, tau, tol=1e-10)
+    assert chart.converged
+    assert abs(chart.value - _polar_reference(f, sc, tau)) <= chart.error_estimate
+
+
+@pytest.mark.parametrize("phase", [
+    "x1^4 + x2^4",                  # both charts share h, which is even: one folded rule
+    "x1^4 - x2^4",                  # h2 = -h1: the second chart takes the conjugate profile
+    "x1^3 + x2^3",                  # both charts share h, which is not even
+    "x1^4 - 6*x1^2*x2^2 + x2^4",    # h even, with real zeros inside the chart
+    "x1^4 + x1^3*x2 + 2*x2^4",      # no symmetry: two groups in one profile call
+])
+@pytest.mark.parametrize("tau", [1.0, 10.0])
+def test_chart_sum_of_each_grouping_case_is_the_cutoff_integral(phase, tau):
+    f = parse(phase, 2)
+    sc = SymmetricCutoff(n=2, eps=0.25, eta=ETA)
+    chart = chart_parity_integral(blowup_charts(f), sc, tau, tol=1e-10)
+    assert chart.converged
+    assert abs(chart.value - _polar_reference(f, sc, tau)) <= chart.error_estimate
 
 
 def test_criterion_03_oracle_agreement():

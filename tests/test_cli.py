@@ -54,6 +54,15 @@ def test_rlct_homogeneous(capsys):
     assert payload["method"] == "homogeneous"
 
 
+def test_rlct_homogeneous_on_an_indefinite_phase(capsys):
+    # x1^2 + x2^2 - x3^2 vanishes on a cone: the threshold is 1, not n/d = 3/2
+    code, out, _ = run(capsys, "rlct", "--phase", "x1^2 + x2^2 - x3^2", "--dim", "3",
+                       "--method", "homogeneous")
+    payload = json.loads(out)
+    assert code == 0 and payload["value"] == "1"
+    assert payload["flags"]["sign_change_certified"]
+
+
 def test_rlct_non_convenient_is_hypothesis_failure(capsys):
     code, _, err = run(capsys, "rlct", "--phase", "x1*x2", "--dim", "2")
     assert code == 3
@@ -151,8 +160,8 @@ def test_lab_hypothesis_failure_exit_code(capsys):
 
 
 def test_lab_with_nonconverged_samples_exits_2(capsys, monkeypatch):
-    # one chart sample that misses tol makes its chart-sum row, and the fit
-    # that keeps it, non-converged; the generic series and its fit converge
+    # one chart-sum sample that misses tol makes its row, and the fit that
+    # keeps it, non-converged; the generic series and its fit converge
     chart = experiments.chart_parity_integral
     calls = []
 

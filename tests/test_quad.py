@@ -745,17 +745,21 @@ def test_chart_parity_validation():
     chart = BlowupChart(index=1, h=parse("1 + x1^4 + x2^4", 2), f_multiplicity=4,
                         jacobian_multiplicity=1)
     with pytest.raises(ValueError):
-        chart_parity_integral(chart, SC, 10.0)
+        chart_parity_integral([chart], SC, 10.0)
+    with pytest.raises(ValueError):
+        chart_parity_integral([], SC, 10.0)
+    mixed = [blowup_charts(parse(phase, 2))[0] for phase in ("x1^4 + x2^4", "x1^3 + x2^3")]
+    with pytest.raises(ValueError):
+        chart_parity_integral(mixed, SC, 10.0)  # two multiplicities d
 
 
 @pytest.mark.parametrize("tau", [1e2, 1e3])
 def test_chart_sum_of_an_indefinite_quadratic_form_is_pi_over_tau(tau):
     # h = 1 - v^2 vanishes at v = +-1, inside both charts.  chi = 1 near 0, so
     # stationary phase gives pi / tau for x1^2 - x2^2 up to O(tau^-inf)
-    parts = [chart_parity_integral(ch, SC, tau, tol=1e-10)
-             for ch in blowup_charts(parse("x1^2 - x2^2", 2))]
-    assert all(p.converged for p in parts)
-    assert abs(sum(p.value for p in parts) - pi / tau) <= 1e-10
+    chart = chart_parity_integral(blowup_charts(parse("x1^2 - x2^2", 2)), SC, tau, tol=1e-10)
+    assert chart.converged
+    assert abs(chart.value - pi / tau) <= 1e-10
 
 
 def test_chart_cuts_at_the_zeros_of_h_only():
@@ -764,3 +768,28 @@ def test_chart_cuts_at_the_zeros_of_h_only():
     assert np.array_equal(nodes, quad._composite(np.linspace(-1.25, 1.25, 9), 16)[0])
     cuts, zero = quad._chart_cuts(parse("1 - x1^2", 1), 1.25)
     assert cuts == (-1.25, -1.0, 1.0, 1.25) and zero == (False, True, True, False)
+
+
+def test_chart_cuts_of_an_even_h_are_symmetric():
+    # the fold keeps the v > 0 half of a rule that is symmetric to the last bit
+    for h in ("1 + x1^4", "1 - x1^2", "1 - 6*x1^2 + x1^4"):
+        cuts, zero = quad._chart_cuts(parse(h, 1), 1.25)
+        assert cuts == tuple(-c for c in reversed(cuts)) and zero == zero[::-1]
+        nodes, weights = quad._cut_rule(cuts, zero, 1e2, 8)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        assert not np.any(nodes == 0.0)
+
+
+def test_chart_sum_of_a_shared_even_h_makes_one_half_rule_profile_call_per_level(monkeypatch):
+    # both charts of x1^4 + x2^4 have h = 1 + v^4: one profile array of the
+    # v > 0 half of the m-panel, 16-point rule serves both, 8 m t-values
+    sizes = []
+
+    def counting(ts, *args, **kwargs):
+        sizes.append(len(ts))
+        return oscillatory_profile(ts, *args, **kwargs)
+
+    monkeypatch.setattr(quad, "oscillatory_profile", counting)
+    chart = chart_parity_integral(blowup_charts(parse("x1^4 + x2^4", 2)), SC, 1e2, tol=1e-10)
+    assert chart.converged
+    assert sizes == [8 * m for m in (8, 16, 32, 64)[:len(sizes)]] and len(sizes) >= 2

@@ -59,6 +59,25 @@ def test_rlct_homogeneous_values():
     assert rlct_homogeneous(parse("x1^6 + x2^6", 2), None).value == F(1, 3)
 
 
+@pytest.mark.parametrize("phase,n,value", [
+    ("x1^2 + x2^2 - x3^2", 3, F(1)),         # n/d = 3/2
+    ("x1^2 + x2^2 + x3^2 - x4^2", 4, F(1)),  # n/d = 2
+    ("x1^3 + x2^3 + x3^3 + x4^3", 4, F(1)),  # n/d = 4/3, odd degree
+    ("x1^6 - x2^6", 2, F(1, 3)),             # n/d < 1 stands
+])
+def test_rlct_homogeneous_of_a_sign_changing_phase_is_at_most_one(phase, n, value):
+    rep = rlct_homogeneous(parse(phase, n), None)
+    assert rep.value == value
+    assert rep.flags["sign_change_certified"] and rep.flags["value_at_most_one"]
+
+
+def test_rlct_homogeneous_of_a_definite_phase_is_n_over_d():
+    for phase, n in (("x1^2 + x2^2 + x3^2", 3), ("x1^4 + x2^4", 2), ("x1^2 + x2^2", 2)):
+        rep = rlct_homogeneous(parse(phase, n), None)
+        assert rep.value == F(n, parse(phase, n).homogeneous_degree())
+        assert not rep.flags["sign_change_certified"]
+
+
 def test_rlct_homogeneous_rejects():
     with pytest.raises(ValueError):
         rlct_homogeneous(parse("x1^2 + x2^4", 2), None)  # not homogeneous
