@@ -19,6 +19,7 @@ __all__ = [
     "parse",
     "circle_zeros",
     "multiple_real_roots",
+    "real_root_multiplicity",
     "real_roots",
 ]
 
@@ -338,6 +339,19 @@ def multiple_real_roots(p: Polynomial) -> List[float]:
     if len(gcd) == 1:
         return []
     return real_roots(Polynomial(1, {(k,): c for k, c in enumerate(gcd)}))
+
+
+def real_root_multiplicity(p: Polynomial) -> int:
+    """Largest multiplicity of a real root of a univariate ``p``, 0 when it has none.
+
+    The roots of p of multiplicity > k are the roots of the k-th term of the
+    chain p, gcd(p, p'), ..., each the gcd of the one before with its
+    derivative, decided over Fraction.
+    """
+    m, a = 0, _dense(p)
+    while len(a) > 1 and real_roots(Polynomial(1, {(k,): c for k, c in enumerate(a)})):
+        m, a = m + 1, _gcd_with_derivative(a)
+    return m
 
 
 def real_roots(p: Polynomial, lo=None, hi=None) -> List[float]:

@@ -10,7 +10,7 @@
    monotone pieces.  A tau series (``eval_oscillatory_series``) shares one
    profile call per pure-power axis across all of its taus.
 2. Radial: a homogeneous phase of degree >= 1 in n = 2 with a radial
-   amplitude reduces to a circle integral of the profile
+   amplitude reduces to a half-circle integral of the profile
    (``radial_reduce``), cut at the exact zeros of the phase by ``_cut_rule``.
 3. Tensor: everything else in n <= 3 goes to tensor-product Gauss grids
    whose panels each hold a bounded number of oscillation wavelengths.  The
@@ -26,13 +26,14 @@
    it evaluates any.
 
 ``chart_parity_integral`` sums the n = 2 blowup-chart integrals of one
-phase on the same ``_cut_rule`` as the radial route: charts whose h agree up
-to sign share one profile array, an even h is integrated over v > 0 and
-doubled, and each level is one profile call for all charts.
+phase.  It and ``radial_reduce`` are thin callers of one angular level loop,
+``_angle_sum``, on ``_cut_rule``: each level is one profile call.  The
+radial route folds the circle onto a half circle by theta -> theta + pi;
+the chart sum lets charts whose h agree up to sign share one profile array,
+and integrates an even h over v > 0 and doubles it.
 
 The separable route takes any n; the other routes reject n >= 4 before
-any grid work.  ``radial_reduce`` also takes n = 3 on the sphere, but only
-when called directly.  Every error estimate compares successive
+any grid work.  Every error estimate compares successive
 refinement levels through one rule, ``_refine``, plus roundoff on Filon
 levels.  Estimates are heuristic diagnostics, not certified bounds.  All
 accumulation orders are deterministic and independent of the number of
@@ -982,8 +983,38 @@ def eval_oscillatory_series(
 
 
 # ---------------------------------------------------------------------------
-# Radial reduction for homogeneous phases and radial amplitudes
+# n = 2 angular integrals: the circle of the radial reduction and the
+# coordinate v of the blowup charts, both on ``_cut_rule``
 # ---------------------------------------------------------------------------
+
+
+def _angle_sum(groups, profile, tau: float, tol: float, levels) -> OscillatorySample:
+    """Sum over ``groups`` of int P(tau h(x)) w(x) dx, one ``profile`` call per level.
+
+    A group is (h, rule, terms): h maps nodes to phase values, rule(m) gives
+    the nodes and weights of level m, and each term (weight, conjugate,
+    factor) adds factor * sum_i w_i weight(x_i) P_i, with conj P_i when
+    ``conjugate``.  The profile of all groups' nodes at tau h is one
+    ``profile(ts)`` call, which returns values and errors.  A group's error is
+    sum |factor| x sum_i |w_i| perr_i, and the levels stop by ``_refine``.
+    """
+
+    def level(m):
+        rules = [rule(m) for _, rule, _ in groups]
+        ts = np.concatenate([tau * h(nodes) for (h, _, _), (nodes, _) in zip(groups, rules)])
+        vals, perr = profile(ts)
+        value, err, start = 0j, 0.0, 0
+        for (_, _, terms), (nodes, wgts) in zip(groups, rules):
+            v, e = vals[start:start + len(nodes)], perr[start:start + len(nodes)]
+            start += len(nodes)
+            spread = float(np.dot(np.abs(wgts), e))
+            for weight, conj, factor in terms:
+                value += factor * complex(np.dot((np.conj(v) if conj else v) * weight(nodes), wgts))
+                err += abs(factor) * spread
+        return value, err
+
+    v, e, conv = _refine(map(level, levels), tol)
+    return OscillatorySample(float(tau), complex(v), float(e), conv)
 
 
 def radial_reduce(
@@ -992,77 +1023,39 @@ def radial_reduce(
     tau: float,
     tol: float = 1e-8,
 ) -> OscillatorySample:
-    """I(tau, phi) for homogeneous f and radial phi via the sphere x profile split.
+    """I(tau, phi) for a homogeneous f and a radial phi in n = 2, as a half-circle integral.
 
-    Writes the integral as int_{S^{n-1}} omega^nu R(tau h(omega)) dsigma with
-    R(t) = int_0^inf exp(i t r^d) r^{n-1+|nu|} eta(r) dr and h = f restricted
-    to the unit sphere.  In n = 2 a circle on which h has no zero takes
-    periodic trapezoid levels, any other circle the levels m of ``_cut_rule``
-    (shared with the chart integral), cut at the exact zeros of h
-    (``poly.circle_zeros``).  In n = 3 the sphere takes product Gauss x
-    trapezoid levels.  Every level is one batched profile call, with inner
-    error sum |w| perr, and the levels stop by ``_refine``.
+    Writes the integral as int_0^{2 pi} omega^nu R(tau h(theta)) dtheta with
+    omega = (cos theta, sin theta), R(t) = int_0^inf exp(i t r^d) r^{1+|nu|}
+    eta(r) dr and h = f(omega).  theta -> theta + pi maps h to (-1)^d h and
+    omega^nu to (-1)^|nu| omega^nu, and R(-t) = conj R(t), so the circle is
+    one half circle [z0, z0 + pi) counted twice: once as it is, once times
+    (-1)^|nu| and conjugated when d is odd.  The half circle is cut at the
+    exact zeros of h in [0, pi) (``poly.circle_zeros``), or is (0, pi) when h
+    has none, and runs on the levels m = 4..256 of ``_cut_rule`` through
+    ``_angle_sum``.
     """
     d = f.homogeneous_degree()
     if d is None:
         raise ValueError("radial reduction requires a homogeneous phase")
     if phi.shape != "radial":
         raise ValueError("radial reduction requires a radial amplitude")
-    n = f.n
-    if n not in (2, 3):
-        raise ValueError("radial reduction supports n in {2, 3}")
-    eta = phi.cutoff
-    npow = n - 1 + sum(phi.nu)
-    prof_tol = tol / (8 * pi)
+    if f.n != 2:
+        raise ValueError("radial reduction supports n = 2 only")
+    npow = 1 + sum(phi.nu)
+    zeros = tuple(z for z in circle_zeros(f) if z < pi)
+    cuts, zero = ((zeros + (zeros[0] + pi,), (True,) * (len(zeros) + 1)) if zeros
+                  else ((0.0, pi), (False, False)))
 
-    if n == 2:
-        def integrand(theta):
-            """Profiles at tau h(theta) times the amplitude monomial, and their errors."""
-            c, s = np.cos(theta), np.sin(theta)
-            vals, perr = oscillatory_profile(tau * f.evaluate([c, s]), d, npow, eta, tol=prof_tol)
-            return vals * (c ** phi.nu[0] * s ** phi.nu[1]), perr
+    def weight(theta):
+        return np.cos(theta) ** phi.nu[0] * np.sin(theta) ** phi.nu[1]
 
-        zeros = circle_zeros(f)
-        if not zeros:
-            def circle_level(m):
-                vals, perr = integrand(np.linspace(0.0, 2 * pi, m, endpoint=False))
-                step = 2 * pi / m
-                return step * np.sum(vals), step * float(np.sum(perr))
-
-            levels = map(circle_level, (64, 128, 256, 512, 1024, 2048))
-        else:
-            cuts = tuple(zeros + [zeros[0] + 2 * pi])
-
-            def arc_level(m):
-                nodes, wts = _cut_rule(cuts, (True,) * len(cuts), tau, m)
-                vals, perr = integrand(nodes)
-                return np.dot(vals, wts), float(np.dot(np.abs(wts), perr))
-
-            levels = map(arc_level, (4, 8, 16, 32, 64, 128, 256))
-        v, e, conv = _refine(levels, tol)
-        return OscillatorySample(float(tau), complex(v), float(e), conv)
-
-    # n == 3: product Gauss (in cos theta) x trapezoid (in phi_angle) on S^2
-    def sphere_level(L):
-        mu, wmu = _gl(L)
-        phis = np.linspace(0.0, 2 * pi, 2 * L, endpoint=False)
-        st = np.sqrt(1.0 - mu**2)
-        X = st[:, None] * np.cos(phis)[None, :]
-        Y = st[:, None] * np.sin(phis)[None, :]
-        Z = mu[:, None] + 0.0 * X
-        H = f.evaluate([X, Y, Z])
-        vals, perr = oscillatory_profile(tau * H.ravel(), d, npow, eta, tol=prof_tol)
-        vals = vals.reshape(H.shape)
-        monoval = np.ones_like(H)
-        for arr, k in zip((X, Y, Z), phi.nu):
-            if k:
-                monoval = monoval * arr**k
-        total = (2 * pi / (2 * L)) * np.dot(wmu, np.sum(vals * monoval, axis=1))
-        inner_err = (2 * pi / (2 * L)) * float(np.dot(wmu, np.sum(perr.reshape(H.shape), axis=1)))
-        return total, inner_err
-
-    v, e, conv = _refine(map(sphere_level, (16, 32, 64, 128)), tol)
-    return OscillatorySample(float(tau), complex(v), float(e), conv)
+    group = (lambda theta: f.evaluate([np.cos(theta), np.sin(theta)]),
+             lambda m: _cut_rule(cuts, zero, tau, m),
+             ((weight, False, 1), (weight, d % 2 == 1, (-1) ** sum(phi.nu))))
+    return _angle_sum([group], lambda ts: oscillatory_profile(ts, d, npow, phi.cutoff,
+                                                              tol=tol / (8 * pi)),
+                      tau, tol, (4, 8, 16, 32, 64, 128, 256))
 
 
 # ---------------------------------------------------------------------------
@@ -1095,11 +1088,10 @@ def chart_parity_integral(charts, sc: SymmetricCutoff, tau: float,
     v ranges over |v| < 1 + eps, the support of theta, on ``_cut_rule``.
 
     The inner y integral is the profile P(tau h(v)).  Charts whose h agree up
-    to sign share one profile array: the real weight |y| eta gives
-    P(-t) = conj P(t).  An even h, with the even theta, takes the v > 0 half
-    of its symmetric rule, doubled.  Each level m evaluates every group in one
-    profile call, with error sum over charts of fold x sum |w| perr, and one
-    ``_refine`` runs over the sum to ``tol``.
+    to sign form one group of ``_angle_sum`` and share one profile array: the
+    real weight |y| eta gives P(-t) = conj P(t).  An even h, with the even
+    theta, takes the v > 0 half of its symmetric rule, doubled.  The levels
+    are m = 8..64, each one profile call for all groups.
     """
     charts = list(charts)
     if not charts or any(ch.h.n != 1 for ch in charts):
@@ -1108,32 +1100,22 @@ def chart_parity_integral(charts, sc: SymmetricCutoff, tau: float,
     if any(ch.f_multiplicity != d for ch in charts):
         raise ValueError("charts must share the multiplicity d of their phase")
     lim = 1.0 + sc.eps
-    groups = {}  # h -> [(theta, conjugate)] of the charts with h or -h
+    members = {}  # h -> [(theta, conjugate)] of the charts with h or -h
     for ch in charts:
-        h, conj = (-ch.h, True) if ch.h not in groups and -ch.h in groups else (ch.h, False)
-        groups.setdefault(h, []).append((sc.chart_weight(ch.index), conj))
+        h, conj = (-ch.h, True) if ch.h not in members and -ch.h in members else (ch.h, False)
+        members.setdefault(h, []).append((sc.chart_weight(ch.index), conj))
 
-    def level(m):
-        rules = []
-        for h in groups:
+    def group(h, terms):
+        even = _is_even(h)
+
+        def rule(m):
             nodes, wgts = _cut_rule(*_chart_cuts(h, lim), tau, m)
-            fold = 1.0
-            if _is_even(h):
-                keep = nodes > 0
-                nodes, wgts, fold = nodes[keep], wgts[keep], 2.0
-            rules.append((nodes, wgts, fold))
-        ts = np.concatenate([tau * (np.asarray(h.evaluate([nodes])) + np.zeros_like(nodes))
-                             for h, (nodes, _, _) in zip(groups, rules)])
-        vals, perr = oscillatory_profile(ts, d, 1, sc.eta, tol=tol / (8 * lim),
-                                         full_line=True, absolute=True)
-        value, err, start = 0j, 0.0, 0
-        for members, (nodes, wgts, fold) in zip(groups.values(), rules):
-            v, e = vals[start:start + len(nodes)], perr[start:start + len(nodes)]
-            start += len(nodes)
-            for theta, conj in members:
-                value += fold * complex(np.dot((np.conj(v) if conj else v) * theta(nodes), wgts))
-                err += fold * float(np.dot(np.abs(wgts), e))
-        return value, err
+            return (nodes[nodes > 0], wgts[nodes > 0]) if even else (nodes, wgts)
 
-    v, e, conv = _refine(map(level, (8, 16, 32, 64)), tol)
-    return OscillatorySample(float(tau), complex(v), float(e), conv)
+        return (lambda v: np.asarray(h.evaluate([v])) + np.zeros_like(v), rule,
+                [(theta, conj, 2.0 if even else 1.0) for theta, conj in terms])
+
+    return _angle_sum([group(h, terms) for h, terms in members.items()],
+                      lambda ts: oscillatory_profile(ts, d, 1, sc.eta, tol=tol / (8 * lim),
+                                                     full_line=True, absolute=True),
+                      tau, tol, (8, 16, 32, 64))

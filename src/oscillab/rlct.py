@@ -2,7 +2,8 @@
 
 Three routes, all exact rationals: from user-supplied resolution data
 (min (k_j + 1) / m_j), from the single point-blowup of a homogeneous
-polynomial (n / d, or min(n / d, 1) when f certifiably changes sign), and as
+polynomial (n / d; in n = 2 min(2 / d, 1 / m), m the largest multiplicity of
+a real zero line; in n >= 3 min(n / d, 1) when f certifiably changes sign), and as
 the Newton principal-face candidate 1 / t0 with the even/odd parity
 bookkeeping that governs when the candidate is expected to be attained.  The
 candidate route reports, it never asserts.
@@ -18,7 +19,7 @@ from math import prod
 from typing import Dict, List, Optional, Tuple
 
 from .nondegen import SearchOptions, check_R_nondegenerate
-from .poly import Polynomial
+from .poly import Polynomial, real_root_multiplicity
 from .polytope import NewtonPolytope, is_convenient, newton_distance, newton_polytope
 
 __all__ = [
@@ -142,13 +143,18 @@ def rlct_homogeneous(
 ) -> RlctReport:
     """rlct of a convenient homogeneous polynomial by the point blowup.
 
-    The origin's chart gives n/d.  When f takes both signs at a point of
-    {-1, 0, 1}^n (exact arithmetic), its real zeros form a hypersurface,
-    which bounds the threshold by 1, and the value is min(n/d, 1); flag
-    ``sign_change_certified`` says which case held.  Both values are exact
-    when the real zeros of f away from the origin are smooth and reduced;
-    otherwise they are upper bounds.  The nondegeneracy verdict is attached
-    as a validity flag, not a gate.
+    The origin's chart gives n/d.  In n = 2 the real zeros of f away from
+    the origin are the lines x1 = t x2 through the real roots t of f(t, 1)
+    (f(1, 0) != 0, f being convenient); near a line of multiplicity m, |f|
+    is |distance|^m times a unit, so the value is min(2/d, 1/m) exactly,
+    with m the largest multiplicity of a real root (``poly.
+    real_root_multiplicity``; 2/d when there is none).  In n >= 3, when f
+    takes both signs at a point of {-1, 0, 1}^n (exact arithmetic), its real
+    zeros form a hypersurface, which bounds the threshold by 1, and the
+    value is min(n/d, 1); it is exact when those zeros away from the origin
+    are smooth and reduced, and an upper bound otherwise.  Flag
+    ``sign_change_certified`` says whether f takes both signs there.  The
+    nondegeneracy verdict is attached as a validity flag, not a gate.
     """
     d = f.homogeneous_degree()
     if d is None:
@@ -158,7 +164,12 @@ def rlct_homogeneous(
     if not convenient:
         raise ValueError("rlct_homogeneous requires a convenient polynomial")
     indefinite = _changes_sign(f)
-    value = min(Fraction(f.n, d), Fraction(1)) if indefinite else Fraction(f.n, d)
+    value = Fraction(f.n, d)
+    if f.n == 2:
+        m = real_root_multiplicity(f.substitute_one(2))
+        value = min(value, Fraction(1, m)) if m else value
+    elif indefinite:
+        value = min(value, Fraction(1))
     flags = _validity_flags(f, poly, nondegen_opts)
     flags["sign_change_certified"] = indefinite
     flags["value_at_most_one"] = value <= 1

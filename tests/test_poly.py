@@ -6,7 +6,8 @@ from math import atan2, pi
 from hypothesis import assume, given, settings, strategies as st
 
 from oscillab.poly import (
-    ParseError, Polynomial, circle_zeros, multiple_real_roots, parse, real_roots,
+    ParseError, Polynomial, circle_zeros, multiple_real_roots, parse, real_root_multiplicity,
+    real_roots,
 )
 
 
@@ -110,6 +111,15 @@ def test_multiple_real_roots():
     assert multiple_real_roots(parse("x1^3 - x1", 1)) == []
     assert multiple_real_roots(parse("(x1^2 + 1)^2", 1)) == []
     assert multiple_real_roots(parse("7", 1)) == []
+
+
+def test_real_root_multiplicity():
+    assert real_root_multiplicity(parse("(x1 - 1)^3*(x1 + 3)^2*(3*x1 - 1)", 1)) == 3
+    assert real_root_multiplicity(parse("x1^3 - x1", 1)) == 1
+    # a multiplicity over C only does not count
+    assert real_root_multiplicity(parse("(x1^2 + 1)^4*(x1 - 2)^2", 1)) == 2
+    assert real_root_multiplicity(parse("(x1^2 + 1)^2", 1)) == 0
+    assert real_root_multiplicity(parse("7", 1)) == 0
 
 
 def test_real_roots_at_the_interval_ends():

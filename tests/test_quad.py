@@ -352,6 +352,29 @@ def test_radial_reduce_at_circle_zeros_agrees_with_tensor_quadrature(phase, tau)
     assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
 
+def test_radial_reduce_makes_one_half_circle_profile_call_per_level(monkeypatch):
+    f = parse("x1^4 - 6*x1^2*x2^2 + x2^4", 2)
+    z0 = circle_zeros(f)[0]
+    rules, sizes, cut_rule = [], [], quad._cut_rule
+
+    def recording_rule(*args):
+        rules.append(cut_rule(*args))
+        return rules[-1]
+
+    def counting(ts, *args, **kwargs):
+        sizes.append(len(ts))
+        return oscillatory_profile(ts, *args, **kwargs)
+
+    monkeypatch.setattr(quad, "_cut_rule", recording_rule)
+    monkeypatch.setattr(quad, "oscillatory_profile", counting)
+    phi = TestFunction(nu=(0, 0), cutoff=ETA, shape="radial")
+    s = radial_reduce(f, phi, 1e2, tol=1e-10)
+    assert s.converged and len(sizes) >= 2
+    assert sizes == [len(nodes) for nodes, _ in rules]
+    for nodes, _ in rules:
+        assert z0 <= nodes.min() and nodes.max() < z0 + pi
+
+
 def test_radial_reduce_respects_rotation_invariance_at_circle_zeros():
     # x1*x2 and (x1^2 - x2^2)/2 differ by a rotation by pi/4, so their zeros do too
     phi = TestFunction(nu=(0, 0), cutoff=ETA, shape="radial")
@@ -473,9 +496,15 @@ def test_tensor_error_estimate_covers_gap_at_small_tau(phase, n, tau, tol):
     f = parse(phase, n)
     phi = TestFunction(nu=(0,) * n, cutoff=ETA, shape="radial")
     s = _tensor(f, phi, tau, tol=tol)
-    ref = radial_reduce(f, phi, tau, tol=1e-11)
+    ref = radial_reduce(f, phi, tau, tol=1e-11).value if n == 2 else _ball_reference(tau)
     assert s.converged
-    assert s.error_estimate >= abs(s.value - ref.value) > 0.0
+    assert s.error_estimate >= abs(s.value - ref) > 0.0
+
+
+def _ball_reference(tau):
+    """I(tau) of |x|^2 in n = 3 under a radial amplitude: 4 pi times the profile
+    P(tau) = int_0^inf e^{i tau r^2} r^2 eta(r) dr, with no sphere rule."""
+    return 4 * pi * complex(oscillatory_profile(tau, 2, 2, ETA, tol=1e-13)[0][0])
 
 
 def test_tensor_n3_matches_radial_reduction():
@@ -483,9 +512,8 @@ def test_tensor_n3_matches_radial_reduction():
     phi = TestFunction(nu=(0, 0, 0), cutoff=ETA, shape="radial")
     tol = 1e-6
     s = eval_oscillatory(f, phi, 10.0, tol=tol)
-    ref = radial_reduce(f, phi, 10.0, tol=1e-10)
-    assert s.converged and ref.converged
-    assert abs(s.value - ref.value) <= tol
+    assert s.converged
+    assert abs(s.value - _ball_reference(10.0)) <= tol
 
 
 def test_tensor_n3_mixed_phase_matches_separated_dense_reference():
@@ -686,8 +714,10 @@ def _dense_tensor_reference(phase, nu, tau, shape="radial"):
 
 
 @pytest.mark.parametrize("phase,tau", RADIAL_ROUTE)
-@pytest.mark.parametrize("nu", [(2, 0), (1, 1)])
+@pytest.mark.parametrize("nu", [(2, 0), (1, 1), (1, 0), (0, 0)])
 def test_radial_route_matches_dense_tensor_reference(phase, tau, nu):
+    # the half circle is counted twice, the second time signed by (-1)^|nu| and
+    # conjugated for odd d: (1, 0) on x1^3 + x2^3 takes both
     phi = TestFunction(nu=nu, cutoff=ETA, shape="radial")
     tol = 1e-10
     s = eval_oscillatory(parse(phase, 2), phi, tau, tol=tol)
@@ -733,6 +763,9 @@ def test_radial_reduce_validation():
         radial_reduce(parse("x1^2 + x2^4", 2), phi_rad, 10.0)
     with pytest.raises(ValueError):
         radial_reduce(parse("x1^2 + x2^2", 2), phi_prod, 10.0)
+    with pytest.raises(ValueError, match="n = 2 only"):  # no sphere rule
+        radial_reduce(parse("x1^2 + x2^2 + x3^2", 3),
+                      TestFunction(nu=(0, 0, 0), cutoff=ETA, shape="radial"), 10.0)
 
 
 # -- blowup-chart integrals -----------------------------------------------------

@@ -57,6 +57,8 @@ def test_rlct_homogeneous_values():
     assert rep.flags["homogeneous"] and rep.flags["convenient"]
     assert rlct_homogeneous(parse("x1^2 + x2^2", 2), None).value == 1
     assert rlct_homogeneous(parse("x1^6 + x2^6", 2), None).value == F(1, 3)
+    # a double zero line without a sign change: 1/m = 1/2, not n/d = 1
+    assert rlct_homogeneous(parse("(x1 - x2)^2", 2), None).value == F(1, 2)
 
 
 @pytest.mark.parametrize("phase,n,value", [
@@ -64,6 +66,10 @@ def test_rlct_homogeneous_values():
     ("x1^2 + x2^2 + x3^2 - x4^2", 4, F(1)),  # n/d = 2
     ("x1^3 + x2^3 + x3^3 + x4^3", 4, F(1)),  # n/d = 4/3, odd degree
     ("x1^6 - x2^6", 2, F(1, 3)),             # n/d < 1 stands
+    # in n = 2 the value is min(2/d, 1/m), m the largest multiplicity of a zero line
+    ("(x1 - x2)^2*(x1 + 2*x2)", 2, F(1, 2)),  # not min(2/d, 1) = 2/3
+    ("(x1 - x2)^3*(x1 + x2)", 2, F(1, 3)),
+    ("x1^2 - x2^2", 2, F(1)),
 ])
 def test_rlct_homogeneous_of_a_sign_changing_phase_is_at_most_one(phase, n, value):
     rep = rlct_homogeneous(parse(phase, n), None)
