@@ -3,12 +3,12 @@
 ``eval_oscillatory`` tries three routes, in this order:
 
 1. Separable: an additively separable phase with a product amplitude, or any
-   phase in n = 1, reduces to one-dimensional axis integrals, which
-   Filon-type rules evaluate at a cost that does not grow with tau: pure
-   powers through the batched profile ``oscillatory_profile``, every other
-   axis polynomial through the substitution w = |p(x) - p(x0)| on its
-   monotone pieces.  A tau series (``eval_oscillatory_series``) shares one
-   profile call per pure-power axis across all of its taus.
+   phase in n = 1, reduces to one-dimensional axis integrals at a cost that
+   does not grow with tau: pure powers through the batched profile
+   ``oscillatory_profile``, every other axis polynomial through a Filon-type
+   rule in the substitution w = |p(x) - p(x0)| on its monotone pieces.  A
+   tau series (``eval_oscillatory_series``) shares one profile call per
+   pure-power axis across all of its taus.
 2. Radial: a homogeneous phase of degree >= 1 in n = 2 with a radial
    amplitude reduces to a half-circle integral of the profile
    (``radial_reduce``), cut at the exact zeros of the phase by ``_cut_rule``.
@@ -31,6 +31,15 @@ phase.  It and ``radial_reduce`` are thin callers of one angular level loop,
 radial route folds the circle onto a half circle by theta -> theta + pi;
 the chart sum lets charts whose h agree up to sign share one profile array,
 and integrates an even h over v > 0 and doubles it.
+
+The profile P(t) = int e^{ity^d} y^npow eta(y) dy, the inner integral of
+the separable, radial and chart routes, is one entire function of t for
+each (d, npow) and cutoff shape a/b (P for eta(y / s) is s^{npow+1} P(t s^d)).
+``oscillatory_profile`` reads it from a table per (d, npow, a/b): Chebyshev
+pieces of degree 24 below a T* that the table finds from its own builder,
+and the closed form Gamma(c) e^{i pi c/2} t^{-c} / d above it.  Pieces are
+built lazily, only where a call asks for them, by the Filon-type
+``_halfline_profile``.  Each value carries the error of its piece.
 
 The separable route takes any n; the other routes reject n >= 4 before
 any grid work.  Every error estimate compares successive
@@ -87,10 +96,38 @@ class OscillatorySample:
     converged: bool = True
 
 
+def _legendre(order: int, x: np.ndarray):
+    """P_order(x) and P_order'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, order):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, order * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def _gl(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    """Gauss-Legendre nodes and weights on [-1, 1], weights to about 1e-16 absolute.
+
+    numpy's ``leggauss`` weights are off by up to 3e-15 at 40 points, which
+    put a 7e-15 error into every Filon moment below ``_MOMENT_SWITCH``.  Two
+    Newton steps on P_order from its nodes, and w = 2 / ((1 - x^2) P'(x)^2),
+    remove it.  Every step is odd in x, so the rule stays symmetric bitwise.
+    """
+    x = np.polynomial.legendre.leggauss(order)[0]
+    for _ in range(2):
+        p, dp = _legendre(order, x)
+        x = x - p / dp
+    dp = _legendre(order, x)[1]
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b one row of a at a time, so that no row depends on the others.
+
+    A matrix product sums a block of rows in another order than a single
+    row, so its last bits would depend on the batch.
+    """
+    return np.matmul(a[:, None, :], b)[:, 0]
 
 
 def _composite(edges: np.ndarray, order: int):
@@ -266,18 +303,21 @@ def oscillatory_profile_reference(
 
 
 # ---------------------------------------------------------------------------
-# Filon-type profile: after u = y^d the profile is a Fourier integral
+# Filon-type profile (the builder of the profile table below): after u = y^d
 #   P(t) = (1/d) int_0^{b^d} e^{itu} u^{c-1} eta(u^{1/d}) du,   c = (npow+1)/d,
-# so its cost can be made independent of |t|: the singular head [0, a^d]
-# (where eta = 1) reduces to an incomplete-gamma-type function, and the
-# smooth remainder is integrated with Legendre interpolation per panel and
-# exact oscillatory moments M_k(theta) = int_{-1}^1 e^{i theta s} P_k(s) ds
+# so its cost can be made independent of |t|: the head [0, a^d] (where
+# eta = 1, and u^{c-1} is not smooth at 0 unless c is an integer) reduces to
+# an incomplete-gamma-type function for every c, and the smooth remainder on
+# [a^d, b^d] is integrated with Legendre interpolation per panel and exact
+# oscillatory moments M_k(theta) = int_{-1}^1 e^{i theta s} P_k(s) ds
 # = 2 i^k j_k(theta) (spherical Bessel).  The moments depend on a panel only
 # through its half-width, so they are evaluated once per t for each distinct
-# width (one width for the uniform grids of c <= 1) and contracted with the
-# panels' phase factors by one matmul.  They are computed without scipy: a
-# 40-point Gauss rule for theta <= 16, upward recurrence from j_0 and j_1
-# above it, where k < theta keeps the recurrence stable (DLMF 10.51.1).
+# width (one per graded layer and one for the uniform rest of a profile
+# grid) and contracted with the panels' phase factors t by t (``_rowwise``),
+# so that no value depends on the other t of its batch.  They are computed
+# without scipy: a 40-point Gauss rule for theta <= 16, upward recurrence
+# from j_0 and j_1 above it, where k < theta keeps the recurrence stable
+# (DLMF 10.51.1).
 # The t-independent part of each level (its edges, the Legendre coefficients
 # of the integrand and its absolute integral) is cached per (d, npow, eta, m).
 # ---------------------------------------------------------------------------
@@ -285,7 +325,7 @@ def oscillatory_profile_reference(
 _FILON_ORDER = 12
 _MOMENT_SWITCH = 16.0  # upward recurrence above it needs _FILON_ORDER <= 16
 _MOMENT_NODES = 40
-_MOMENT_BLOCK = 1 << 16  # thetas per block of per-panel moments
+_MOMENT_BLOCK = 1 << 14  # (t, panel) pairs per block of phases and of per-panel moments
 _HEAD_PHASE = 40.0  # phase run below which a head is integrated in y or x space
 _LEVELS = (48, 96, 192, 384, 768)  # Filon panels per grid, doubled level by level
 _ROUNDOFF = 4 * np.finfo(float).eps  # error floor per unit of absolute integrand sum
@@ -327,8 +367,8 @@ def _legendre_moments(theta: np.ndarray, order: int) -> np.ndarray:
     if np.any(small):
         x, even, odd = _moment_rule(order)
         arg = np.outer(flat[small], x)
-        out[small, 0::2] = np.cos(arg) @ even
-        out[small, 1::2] = 1j * (np.sin(arg) @ odd)
+        out[small, 0::2] = _rowwise(np.cos(arg), even)
+        out[small, 1::2] = 1j * _rowwise(np.sin(arg), odd)
     if not np.all(small):
         th = flat[~small]
         j = [np.sin(th) / th]
@@ -359,33 +399,55 @@ def _width_groups(half: np.ndarray, scale: float):
     return widths, labels, counts
 
 
+def _split(a: np.ndarray):
+    """Veltkamp's split a = hi + lo, each half with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _phase(ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """e^{i t x} for every t of ``ts`` (rows) and x of ``xs`` (columns).
+
+    The product t x is rounded once, which moves the phase by up to an ulp
+    of t x: 5e-13 at t x = 5000, far above the profile's roundoff floor.
+    Dekker's two-product gives that rounding error exactly, and it is put
+    back into the phase.
+    """
+    p = np.outer(ts, xs)
+    (th, tl), (xh, xl) = _split(ts), _split(xs)
+    err = ((np.outer(th, xh) - p) + np.outer(th, xl) + np.outer(tl, xh)) + np.outer(tl, xl)
+    out = np.exp(1j * p)
+    out *= 1.0 + 1j * err
+    return out
+
+
 def _filon_moment_sum(ts: np.ndarray, edges: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum over panels of h e^{itm} * sum_k coeffs[p,k] M_k(t h)."""
     order = coeffs.shape[1]
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     widths, labels, counts = _width_groups(half, float(np.max(np.abs(edges))))
-    # coefficients zeroed outside each shared group, so that every group
-    # contracts the whole phase matrix without copying its columns
-    shared = [
-        (widths[g], np.where((labels == g)[:, None], coeffs, 0.0))
-        for g in np.flatnonzero(counts > 1)
-    ]
+    # panels sorted by group, so that every shared width contracts one column
+    # slice of the phase matrix
+    by_group = np.argsort(labels, kind="stable")
+    half, mid, coeffs, labels = half[by_group], mid[by_group], coeffs[by_group], labels[by_group]
+    ends = np.cumsum(counts)
+    shared = [(widths[g], slice(ends[g] - counts[g], ends[g])) for g in np.flatnonzero(counts > 1)]
     lone = np.flatnonzero(counts[labels] == 1)
     out = np.zeros(len(ts), dtype=complex)
-    chunk = max(1, int(2_000_000 // max(len(half), 1)))
+    chunk = max(1, _MOMENT_BLOCK // len(half))
     for i in range(0, len(ts), chunk):
         tc = ts[i : i + chunk]
-        E = np.outer(tc, mid) * 1j
-        np.exp(E, out=E)
+        E = _phase(tc, mid)
         E *= half
         acc = np.zeros(len(tc), dtype=complex)
-        for width, group_coeffs in shared:
+        for width, cols in shared:
             M = _legendre_moments(tc * width, order)
-            acc += np.sum(M * (E @ group_coeffs), axis=1)
-        cols = max(1, _MOMENT_BLOCK // len(tc))
-        for j in range(0, len(lone), cols):
-            p = lone[j : j + cols]
+            acc += np.sum(M * _rowwise(E[:, cols], coeffs[cols]), axis=1)
+        block = max(1, _MOMENT_BLOCK // chunk)  # not len(tc): no t sees the batch size
+        for j in range(0, len(lone), block):
+            p = lone[j : j + block]
             M = _legendre_moments(np.outer(tc, half[p]), order)
             acc += np.sum(E[:, p] * np.einsum("tpk,pk->tp", M, coeffs[p]), axis=1)
         out[i : i + chunk] = acc
@@ -401,7 +463,7 @@ def _filon_coefficients(edges: np.ndarray, gfun):
 
 
 def _oscillatory_head(ts: np.ndarray, d: int, npow: int, a: float) -> np.ndarray:
-    """int_0^a e^{ity^d} y^npow dy for t >= 0 and c = (npow+1)/d < 1, batched."""
+    """int_0^a e^{ity^d} y^npow dy for t >= 0, batched, for any c = (npow+1)/d > 0."""
     c = (npow + 1) / d
     u0 = a**d
     X = ts * u0
@@ -412,8 +474,9 @@ def _oscillatory_head(ts: np.ndarray, d: int, npow: int, a: float) -> np.ndarray
         # phase runs at most ~6 cycles; composite 16x24 Gauss resolves it
         x01, w01 = _composite(np.linspace(0.0, 1.0, 17), 24)
         nodes = a * x01
-        phases = np.outer(ts[small], nodes**d)
-        out[small] = a * (np.exp(1j * phases) * nodes[None, :] ** npow) @ w01
+        E = np.outer(ts[small], nodes**d) * 1j
+        np.exp(E, out=E)
+        out[small] = a * _rowwise(E, nodes**npow * w01)
     if np.any(~small):
         # F(c, X) = Gamma(c) e^{i pi c/2} - e^{iX} * (asymptotic tail series)
         Xl = X[~small]
@@ -433,43 +496,188 @@ def _oscillatory_head(ts: np.ndarray, d: int, npow: int, a: float) -> np.ndarray
 def _profile_level(d: int, npow: int, eta: CutoffFunction, m: int):
     """The t-independent part of a Filon level of the half-line profile, read-only.
 
-    Returns the panel edges of level m in u = y^d (m uniform panels on
-    [a^d, b^d], and for c = (npow+1)/d > 1 also m panels graded toward 0,
-    where u^{c-1} has unbounded low-order derivatives), the Legendre
-    coefficients of g(u) = u^{c-1} eta(u^{1/d}) / d on every panel, and
-    int |g| du.
+    Returns the panel edges of level m on [a^d, b^d] in u = y^d, the Legendre
+    coefficients of g(u) = u^{c-1} eta(u^{1/d}) / d on every panel
+    (c = (npow+1)/d), and int |g| du.  Unless c is an integer, g is singular
+    at u = 0, a^d to the left of the grid.  So the grid is graded
+    geometrically from a^d: layers [u, 2u] of m / 12 equal panels each, up to
+    where those panels would be as wide as the m uniform panels that cover
+    the rest.  Each layer has one panel width, so its moments are shared
+    (Iserles and Norsett, Proc. R. Soc. A 461, 2005).
     """
     c = (npow + 1) / d
-    u0 = eta.a**d
-    edges = np.linspace(u0, eta.b**d, m + 1)
-    if c > 1.0:
-        edges = np.concatenate([u0 * np.linspace(0.0, 1.0, m + 1)[:-1] ** 3, edges])
+    u0, u1 = eta.a**d, eta.b**d
+    k, width = m // 12, (u1 - u0) / m
+    layers = []
+    while u0 < k * width and 2.0 * u0 < u1:
+        layers.append(np.linspace(u0, 2.0 * u0, k + 1)[:-1])
+        u0 *= 2.0
+    edges = np.concatenate(layers + [np.linspace(u0, u1, ceil((u1 - u0) / width) + 1)])
     coeffs, size = _filon_coefficients(edges, lambda u: u ** (c - 1.0) / d * eta(u ** (1.0 / d)))
     edges.flags.writeable = coeffs.flags.writeable = False
     return edges, coeffs, size
 
 
-def _halfline_profile(ts: np.ndarray, d: int, npow: int, eta: CutoffFunction, tol: float):
-    """P(t) = int_0^b e^{ity^d} y^npow eta(y) dy for t >= 0, batched, with errors."""
-    c = (npow + 1) / d
-    u0 = eta.a**d
-    if c < 1.0:
-        head = _oscillatory_head(ts, d, npow, eta.a)
-    elif c == 1.0:
-        head = np.empty(len(ts), dtype=complex)
-        pos = ts > 0
-        head[pos] = (np.exp(1j * ts[pos] * u0) - 1.0) / (1j * ts[pos]) / d
-        head[~pos] = u0 / d
-    else:
-        head = np.zeros(len(ts), dtype=complex)
+def _halfline_profile(ts: np.ndarray, d: int, npow: int, eta: CutoffFunction):
+    """P(t) = int_0^b e^{ity^d} y^npow eta(y) dy for t >= 0, batched, with errors.
 
-    head_size = eta.a ** (npow + 1) / (npow + 1) if c <= 1.0 else 0.0  # int_0^a y^npow dy
-
-    def level(m):
+    Each t runs the Filon levels of ``_LEVELS`` until two agree to the
+    roundoff floor of a level (``_ROUNDOFF`` times the absolute integrand
+    sum, head included) or the last level has run, and takes ``_refine``'s
+    error there: |value - previous value| plus that floor.  No sum runs
+    across t, so a value does not depend on the other t of the batch, to the
+    bit.  This is the one builder of the profile table.
+    """
+    head = _oscillatory_head(ts, d, npow, eta.a)
+    head_size = eta.a ** (npow + 1) / (npow + 1)  # int_0^a y^npow dy
+    vals, errs = np.empty(len(ts), dtype=complex), np.full(len(ts), np.inf)
+    todo, prev = np.arange(len(ts)), None
+    for m in _LEVELS:
+        if not len(todo):
+            break
         edges, coeffs, size = _profile_level(d, npow, eta, m)
-        return head + _filon_moment_sum(ts, edges, coeffs), _ROUNDOFF * (size + head_size)
+        value = head[todo] + _filon_moment_sum(ts[todo], edges, coeffs)
+        if prev is not None:
+            floor = _ROUNDOFF * (size + head_size)
+            vals[todo], errs[todo] = value, np.abs(value - prev) + floor
+            more = errs[todo] > 2.0 * floor
+            todo, value = todo[more], value[more]
+        prev = value
+    return vals, errs
 
-    return _refine(map(level, _LEVELS), tol)[:2]
+
+# ---------------------------------------------------------------------------
+# The profile table.  eta(y) = eta_1(y / b) with eta_1 = CutoffFunction(a/b, 1),
+# so P_eta(t) = b^{npow+1} P_1(t b^d): one table per (d, npow, a/b) serves
+# every cutoff of that shape.  P_1 is an entire function of t.  On [0, T*)
+# it is tabulated by Chebyshev interpolants of degree _CHEB_DEGREE on pieces
+# of width _PIECE_PHASE in t (the phase t b^d that one piece spans), built
+# lazily from ``_halfline_profile`` at the Chebyshev points of the pieces a
+# call needs, at most _BUILD_PIECES per builder call.  For t >= T* it is
+# its closed form Gamma(c) e^{i pi c/2} t^{-c} / d: the remainder comes from
+# the C-infinity cutoff and decays faster than any power.  T* is found from
+# the builder's own values, as far as the calls so far need it
+# (``_ProfileTable._search``).  See Battles and
+# Trefethen, SIAM J. Sci. Comput. 25 (2004), and Trefethen, Approximation
+# Theory and Approximation Practice (2013).
+# ---------------------------------------------------------------------------
+
+_CHEB_DEGREE = 24
+_PIECE_PHASE = 8.0
+_BUILD_PIECES = 4
+_RUNGS = 33  # T* candidates: piece edges round(2^(j/2)), j < _RUNGS
+_RUNG_POINTS = 8  # t per candidate, over one beat period of the cutoff's two ends
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_rule():
+    """Chebyshev points of the first kind on [-1, 1], and the map from values there to coefficients."""
+    x = np.cos(pi * (np.arange(_CHEB_DEGREE + 1) + 0.5) / (_CHEB_DEGREE + 1))
+    fit = np.linalg.inv(np.polynomial.chebyshev.chebvander(x, _CHEB_DEGREE))
+    x.flags.writeable = fit.flags.writeable = False
+    return x, fit
+
+
+def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[i, k] T_k(x[i]) for every row i."""
+    b1 = b2 = np.zeros(len(x), dtype=coeffs.dtype)
+    for c in coeffs[:, :0:-1].T:
+        b1, b2 = c + 2.0 * x * b1 - b2, b1
+    return coeffs[:, 0] + x * b1 - b2
+
+
+class _ProfileTable:
+    """P(t) = int_0^1 e^{ity^d} y^npow eta(y) dy, eta = CutoffFunction(ratio, 1), for t >= 0.
+
+    Each built piece carries one error: its trailing-coefficient estimate
+    |c_{N-1}| + |c_N|, plus the largest builder error at its points, plus 4
+    ulps of its absolute coefficient sum for the Clenshaw sum.  Past T* the
+    error is the largest closed-form gap that the T* search measured, plus
+    the builder's error there.
+    """
+
+    def __init__(self, d: int, npow: int, ratio: float):
+        self.d, self.npow, self.c = d, npow, (npow + 1) / d
+        self.eta = CutoffFunction(ratio, 1.0)
+        self.pieces = np.empty(0, dtype=np.int64)  # built piece numbers, sorted
+        self.coeffs = np.empty((0, _CHEB_DEGREE + 1), dtype=complex)
+        self.errs = np.empty(0)
+        # T* candidates: piece edges spaced by factors of about sqrt 2
+        self.rungs = _PIECE_PHASE * np.array(sorted({round(2.0 ** (j / 2.0)) for j in range(_RUNGS)}))
+        self.gap, self.gap_err = np.empty(0), np.empty(0)  # measured at the first rungs
+        self.tstar, self.tail_err = np.inf, np.inf
+
+    def _closed_form(self, ts):
+        return gamma(self.c) * np.exp(1j * pi * self.c / 2.0) * ts ** (-self.c) / self.d
+
+    def _search(self, tmax: float):
+        """Find T*, if it is at most ``tmax``; until it is found, T* is taken as inf.
+
+        The gap to the closed form is measured at _RUNG_POINTS t over one
+        period of the beat between the two ends of the cutoff's transition,
+        where |P - closed form| may dip.  T* is the first candidate at which
+        that gap is within the builder's own error for three candidates in a
+        row.  Candidates are measured in increasing order, only as far as
+        ``tmax`` needs, in one builder call.
+        """
+        need = min(len(self.rungs), np.searchsorted(self.rungs, tmax, side="right") + 2)
+        have = len(self.gap)
+        if np.isfinite(self.tstar) or need <= have:
+            return
+        beat = 2.0 * pi / (1.0 - self.eta.a**self.d)
+        ts = self.rungs[have:need, None] + beat * np.linspace(0.0, 1.0, _RUNG_POINTS)
+        vals, errs = _halfline_profile(ts.ravel(), self.d, self.npow, self.eta)
+        gap = np.abs(vals - self._closed_form(ts.ravel())).reshape(ts.shape).max(axis=1)
+        self.gap = np.concatenate([self.gap, gap])
+        self.gap_err = np.concatenate([self.gap_err, errs.reshape(ts.shape).max(axis=1)])
+        ok = self.gap <= self.gap_err
+        runs = np.flatnonzero(ok[:-2] & ok[1:-1] & ok[2:])
+        if len(runs):
+            last = slice(runs[0], runs[0] + 3)
+            self.tstar = float(self.rungs[runs[0]])
+            self.tail_err = float(np.max(self.gap[last]) + np.max(self.gap_err[last]))
+
+    def _build(self, pieces: np.ndarray):
+        """Build every piece of ``pieces`` that is not built yet."""
+        missing = np.sort(pieces[~np.isin(pieces, self.pieces)])
+        missing = missing[np.diff(missing, prepend=-1) > 0]  # piece numbers are >= 0
+        if not len(missing):
+            return
+        x, fit = _chebyshev_rule()
+        coeffs, errs = [self.coeffs], [self.errs]
+        for i in range(0, len(missing), _BUILD_PIECES):
+            ts = _PIECE_PHASE * (missing[i:i + _BUILD_PIECES, None] + 0.5 * (x + 1.0))
+            vals, builder_errs = _halfline_profile(ts.ravel(), self.d, self.npow, self.eta)
+            c = _rowwise(vals.reshape(ts.shape), fit.T)
+            coeffs.append(c)
+            errs.append(np.abs(c[:, -2:]).sum(axis=1) + builder_errs.reshape(ts.shape).max(axis=1)
+                        + _ROUNDOFF * np.abs(c).sum(axis=1))
+        order = np.argsort(np.concatenate([self.pieces, missing]), kind="stable")
+        self.pieces = np.concatenate([self.pieces, missing])[order]
+        self.coeffs, self.errs = np.concatenate(coeffs)[order], np.concatenate(errs)[order]
+
+    def __call__(self, ts: np.ndarray):
+        """Values and errors at every t >= 0 of ``ts``."""
+        self._search(np.max(ts, initial=0.0))
+        vals = np.empty(len(ts), dtype=complex)
+        errs = np.full(len(ts), self.tail_err)
+        tail = ts >= self.tstar
+        vals[tail] = self._closed_form(ts[tail])
+        inner = ~tail
+        t = ts[inner] / _PIECE_PHASE
+        k = np.floor(t).astype(np.int64)
+        self._build(k)
+        at = np.searchsorted(self.pieces, k)
+        vals[inner] = _clenshaw(self.coeffs[at], 2.0 * (t - k) - 1.0)
+        errs[inner] = self.errs[at]
+        zero = ts == 0
+        vals[zero] = vals[zero].real  # P(0) = int y^npow eta dy is real
+        return vals, errs
+
+
+@lru_cache(maxsize=None)
+def _profile_table(d: int, npow: int, ratio: float) -> _ProfileTable:
+    return _ProfileTable(d, npow, ratio)
 
 
 def oscillatory_profile(
@@ -477,22 +685,23 @@ def oscillatory_profile(
     d: int,
     npow: int,
     eta: CutoffFunction,
-    tol: float = 1e-10,
     full_line: bool = False,
     absolute: bool = False,
 ):
     """Batched P(t) = int exp(i t y^d) w(y) eta(y) dy with error estimates.
 
     ``w`` is y^npow over [0, b]; with ``full_line`` the domain is [-b, b] and
-    ``absolute`` selects |y|^npow over y^npow.  Negative t are handled by
+    ``absolute`` selects |y|^npow over y^npow.  Values come from the profile
+    table of (d, npow, a/b), scaled to b; negative t are handled by
     conjugation, the negative half-line by parity, so only t >= 0 half-line
-    profiles are ever computed; the full line doubles the half-line error,
-    so the half-line is refined to tol / 2 there.
+    profiles are ever computed, and the full line doubles the half-line
+    error.  The values do not depend on the other t of the batch.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    neg = ts < 0
-    base, errs = _halfline_profile(np.abs(ts), d, npow, eta, tol / 2 if full_line else tol)
-    base = np.where(neg, np.conj(base), base)
+    scale = eta.b ** (npow + 1)
+    base, errs = _profile_table(d, npow, eta.a / eta.b)(np.abs(ts) * eta.b**d)
+    base, errs = scale * base, scale * errs
+    base = np.where(ts < 0, np.conj(base), base)
     if not full_line:
         return base, errs
     sign = 1.0 if absolute else (-1.0) ** npow
@@ -666,7 +875,7 @@ def _axis_integral(
     """
     if len(poly1d.terms) == 1 and (0,) not in poly1d.terms:
         ((dexp,), coeff), = poly1d.terms.items()
-        vals, errs = oscillatory_profile(taus * float(coeff), dexp, power, eta, tol=tol,
+        vals, errs = oscillatory_profile(taus * float(coeff), dexp, power, eta,
                                          full_line=True, absolute=False)
         return [(complex(v), float(e), bool(e <= tol)) for v, e in zip(vals, errs)]
     return [_axis_filon(poly1d, power, eta, float(tau), tol, max_panels) for tau in taus]
@@ -966,10 +1175,10 @@ def eval_oscillatory_series(
 
     The arguments are checked before any work.  The routes are those of
     ``eval_oscillatory``, tried in the same order.  On the separable route
-    each pure-power axis is one batched profile call over all taus, refined
-    until the largest error of the batch meets the axis tolerance; so a tau
-    may run one level finer than it would alone.  Each sample is converged
-    when its own axis errors meet that tolerance.  On the tensor route the
+    each pure-power axis is one batched profile call over all taus; each
+    profile value and its error come from the profile table alone, so a
+    sample is the same as it would be alone.  Each sample is converged when
+    its own axis errors meet the axis tolerance.  On the tensor route the
     panel budget of the first two levels is checked for every tau before any
     tau is evaluated; the radial and tensor routes then run tau by tau.
     """
@@ -1053,8 +1262,7 @@ def radial_reduce(
     group = (lambda theta: f.evaluate([np.cos(theta), np.sin(theta)]),
              lambda m: _cut_rule(cuts, zero, tau, m),
              ((weight, False, 1), (weight, d % 2 == 1, (-1) ** sum(phi.nu))))
-    return _angle_sum([group], lambda ts: oscillatory_profile(ts, d, npow, phi.cutoff,
-                                                              tol=tol / (8 * pi)),
+    return _angle_sum([group], lambda ts: oscillatory_profile(ts, d, npow, phi.cutoff),
                       tau, tol, (4, 8, 16, 32, 64, 128, 256))
 
 
@@ -1116,6 +1324,6 @@ def chart_parity_integral(charts, sc: SymmetricCutoff, tau: float,
                 [(theta, conj, 2.0 if even else 1.0) for theta, conj in terms])
 
     return _angle_sum([group(h, terms) for h, terms in members.items()],
-                      lambda ts: oscillatory_profile(ts, d, 1, sc.eta, tol=tol / (8 * lim),
-                                                     full_line=True, absolute=True),
+                      lambda ts: oscillatory_profile(ts, d, 1, sc.eta, full_line=True,
+                                                     absolute=True),
                       tau, tol, (8, 16, 32, 64))
