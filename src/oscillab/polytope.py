@@ -4,21 +4,20 @@ The polytope of a support set S is the convex hull of the union of the
 shifted orthants nu + R_{>=0}^n over nu in S.  Its H-description is
 {nu >= 0 : l_j(nu) >= 1 for all facets j} where each l_j has nonnegative
 rational weights.  The facets are the vertices of the dual polyhedron
-{w >= 0 : w.p >= 1 for every minimal support point p}; each candidate vertex
-is decided in integers by Cramer's rule (determinant and numerators of a
-k x k system of support points), and only an accepted one becomes a Fraction.
-Faces are read off the facet-generator incidences.
+{w >= 0 : w.p >= 1 for every minimal support point p}, found by double
+description in integer rays, so the cost follows the facets rather than the
+subsets of the support; only a vertex becomes a Fraction.  Faces are read off
+the facet-generator incidences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import det, rank_exact
+from .linalg import rank_exact
 from .poly import Polynomial
 
 __all__ = [
@@ -115,36 +114,38 @@ def _minimal_points(support) -> List[Tuple[int, ...]]:
     return out
 
 
-def _enumerate_facets(minpts: List[Tuple[int, ...]], n: int) -> List[FaceFunctional]:
+def _dual_vertices(minpts: List[Tuple[int, ...]], n: int) -> List[FaceFunctional]:
     """The vertices w of Q = {w >= 0 : w.p >= 1 for every minimal point p}.
 
-    A vertex solves w.p = 1 on k points with w_i = 0 off a k-subset ``free``
-    of the coordinates.  With M the points restricted to ``free``, D = det M
-    and N_j the determinant of M with column j replaced by ones, Cramer's rule
-    gives w_j = N_j / D, so integer signs and sums decide w >= 0 and
-    feasibility.  Its n tight constraints are independent, so the tight
-    points and the axes with w_i = 0 span R^n: each vertex is a facet.
+    Double description (Motzkin; Fukuda & Prodon 1996) on the homogenized cone
+    {(w, t) : w >= 0, t >= 0, p.w - t >= 0}, one minimal point at a time.  A
+    ray is an integer vector with the bitmask of the constraints it makes
+    tight; the orthant constraints are bits 0..n and point k is bit n + 1 + k.
+    Each adjacent (+, -) pair gives a new ray on the added hyperplane: two
+    rays are adjacent when their common tight set has at least n - 1 members
+    and no other ray is tight on all of it.  The rays with t > 0 are the
+    vertices w / t.  A vertex makes n independent constraints tight, so its
+    tight points and the axes with w_i = 0 span R^n: each vertex is a facet.
     """
-    found = set()
-    for k in range(1, n + 1):
-        for free in combinations(range(n), k):
-            rows = [tuple(p[i] for i in free) for p in minpts]
-            for m in combinations(rows, k):
-                d = det(m)
-                if d == 0:
+    rays = [(tuple(int(i == j) for i in range(n + 1)), ((1 << n + 1) - 1) ^ (1 << j))
+            for j in range(n + 1)]
+    for k, p in enumerate(minpts, start=n + 1):
+        vals = [sum(a * b for a, b in zip(p, r)) - r[n] for r, _ in rays]
+        tights = [z for _, z in rays]
+        out = [(r, z | (v == 0) << k) for (r, z), v in zip(rays, vals) if v >= 0]
+        neg = [j for j, v in enumerate(vals) if v < 0]
+        for i in (i for i, v in enumerate(vals) if v > 0):
+            for j in neg:
+                common = tights[i] & tights[j]
+                if common.bit_count() < n - 1 or any(
+                        z & common == common for m, z in enumerate(tights) if m != i and m != j):
                     continue
-                nums = [det([[*r[:j], 1, *r[j + 1:]] for r in m]) for j in range(k)]
-                if d < 0:
-                    d, nums = -d, [-x for x in nums]
-                if any(x < 0 for x in nums):
-                    continue
-                if any(sum(a * x for a, x in zip(r, nums)) < d for r in rows):
-                    continue
-                w = [Fraction(0)] * n
-                for i, x in zip(free, nums):
-                    w[i] = Fraction(x, d)
-                found.add(tuple(w))
-    return [FaceFunctional.from_weights(w) for w in found]
+                r = [vals[i] * b - vals[j] * a for a, b in zip(rays[i][0], rays[j][0])]
+                g = gcd(*r)
+                out.append((tuple(x // g for x in r), common | 1 << k))
+        rays = out
+    return [FaceFunctional.from_weights([Fraction(x, r[n]) for x in r[:n]])
+            for r, _ in rays if r[n] > 0]
 
 
 def build_polytope(support) -> NewtonPolytope:
@@ -161,7 +162,7 @@ def build_polytope(support) -> NewtonPolytope:
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"dimension {n} outside supported range 1..{MAX_DIM}")
     minpts = _minimal_points(pts)
-    facets = _enumerate_facets(minpts, n)
+    facets = _dual_vertices(minpts, n)
     if facets:
         gens = [p for p in minpts if any(f(p) == 1 for f in facets)]
     else:

@@ -63,6 +63,14 @@ def test_rlct_homogeneous_on_an_indefinite_phase(capsys):
     assert payload["flags"]["sign_change_certified"]
 
 
+def test_rlct_candidate_on_the_dense_4d_sextic(capsys):
+    # 84 support points, one facet: the facets come from double description
+    code, out, _ = run(capsys, "rlct", "--phase", "(x1 + x2 + x3 + x4)^6", "--dim", "4",
+                       "--method", "candidate")
+    assert code == 0
+    assert json.loads(out)["value"] == "2/3"
+
+
 def test_rlct_non_convenient_is_hypothesis_failure(capsys):
     code, _, err = run(capsys, "rlct", "--phase", "x1*x2", "--dim", "2")
     assert code == 3

@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscillab.poly import parse
-from oscillab.linalg import det, rank_exact
+from oscillab.linalg import rank_exact
 from oscillab.polytope import (
     FaceDescriptor,
+    FaceFunctional,
+    NewtonPolytope,
+    _minimal_points,
     build_polytope,
     compact_faces,
     is_convenient,
@@ -256,6 +260,24 @@ def test_compact_faces_of_a_24_facet_chain():
     assert {f.generators for f in faces if f.dim == 0} == {(g,) for g in pts}
 
 
+def det(matrix):
+    """Determinant of a nonempty square matrix by cofactor expansion on its first row."""
+    size = len(matrix)
+    if size == 1:
+        return matrix[0][0]
+    if size == 2:
+        (a, b), (c, d) = matrix
+        return a * d - b * c
+    if size == 3:
+        (a, b, c), (d, e, f), (g, h, i) = matrix
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    rest = matrix[1:]
+    return sum(
+        (-1) ** j * a * det([[*row[:j], *row[j + 1:]] for row in rest])
+        for j, a in enumerate(matrix[0]) if a
+    )
+
+
 def test_det_of_small_integer_matrices():
     assert det([[7]]) == 7
     assert det([[1, 2], [3, 4]]) == -2
@@ -280,6 +302,93 @@ def test_det_matches_the_permutation_expansion(m):
         inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
         total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(k))
     assert det(m) == total
+
+
+def _enumerate_facets(minpts, n):
+    """The vertices w of Q = {w >= 0 : w.p >= 1 for every minimal point p}.
+
+    The enumeration ``build_polytope`` used before double description: a
+    vertex solves w.p = 1 on k points with w_i = 0 off a k-subset ``free`` of
+    the coordinates, and Cramer's rule (D = det M of the points restricted to
+    ``free``, N_j with column j replaced by ones) decides it in integers.  It
+    tries every k-subset of points for every k-subset of coordinates, so it is
+    kept only as an oracle on small supports.
+    """
+    found = set()
+    for k in range(1, n + 1):
+        for free in combinations(range(n), k):
+            rows = [tuple(p[i] for i in free) for p in minpts]
+            for m in combinations(rows, k):
+                d = det(m)
+                if d == 0:
+                    continue
+                nums = [det([[*r[:j], 1, *r[j + 1:]] for r in m]) for j in range(k)]
+                if d < 0:
+                    d, nums = -d, [-x for x in nums]
+                if any(x < 0 for x in nums):
+                    continue
+                if any(sum(a * x for a, x in zip(r, nums)) < d for r in rows):
+                    continue
+                w = [F(0)] * n
+                for i, x in zip(free, nums):
+                    w[i] = F(x, d)
+                found.add(tuple(w))
+    return [FaceFunctional.from_weights(w) for w in found]
+
+
+def _oracle_polytope(support):
+    n = len(support[0])
+    minpts = _minimal_points(support)
+    facets = sorted(_enumerate_facets(minpts, n), key=lambda f: f.weights)
+    gens = [p for p in minpts if any(f(p) == 1 for f in facets)] if facets else [(0,) * n]
+    return NewtonPolytope(n=n, generators=tuple(gens), facets=tuple(facets))
+
+
+def _random_support(rng):
+    n = rng.randint(1, 4)
+    return [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(rng.randint(1, 9))]
+
+
+@pytest.mark.parametrize("seed", range(400))
+def test_build_matches_subset_enumeration(seed):
+    support = _random_support(random.Random(seed))
+    assert repr(build_polytope(support)) == repr(_oracle_polytope(support))
+
+
+# the five phase shapes of perfbench's geometry workload, with unit coefficients
+GEOMETRY_PHASES = [
+    ("x2^27 + x1*x2^22 + x1^2*x2^18 + x1^3*x2^15 + x1^5*x2^10 + x1^6*x2^8"
+     " + x1^8*x2^5 + x1^9*x2^4 + x1^12*x2^2 + x1^14*x2 + x1^17", 2),
+    ("x1^6 + x2^6 + x3^6 + x1^2*x2^2 + x2^2*x3^2 + x1^2*x3^2", 3),
+    ("(x1^2 - 2*x2^2)^2 + x3^6 + x1^2*x3^2 + x2^2*x3^2", 3),
+    ("x1^6 + x2^6 + x3^6 + x4^6 + x1^4*x2^2 + x1^2*x2^4 + x2^4*x3^2 + x2^2*x3^4"
+     " + x3^4*x4^2 + x3^2*x4^4 + x1^4*x4^2 + x1^2*x4^4 + x1^2*x2^2*x3^2"
+     " + x2^2*x3^2*x4^2 + x1^2*x3^2*x4^2", 4),
+    ("(x1^2 - 2*x2^3)^2 + x1^6 + x2^8", 2),
+]
+
+
+@pytest.mark.parametrize("phase, n", GEOMETRY_PHASES)
+def test_build_matches_subset_enumeration_on_geometry_phases(phase, n):
+    support = sorted(parse(phase, n).support)
+    assert repr(build_polytope(support)) == repr(_oracle_polytope(support))
+
+
+def _dense(n, d):
+    return [tuple(c.count(i) for i in range(n))
+            for c in combinations_with_replacement(range(n), d)]
+
+
+@pytest.mark.parametrize("support", [
+    _dense(3, 6), _dense(4, 4), _dense(4, 5), _dense(4, 6),
+    sorted(parse("(2*x1^2 + 2*x2^2 + 2*x3^2 - 3*x1*x2 - 3*x1*x3 - 3*x2*x3)^3", 3).support),
+], ids=["3-D sextic", "4-D quartic", "4-D quintic", "4-D sextic", "3-D cubed quadric"])
+def test_dense_homogeneous_support_has_one_facet(support):
+    n, d = len(support[0]), sum(support[0])
+    p = build_polytope(support)
+    assert [f.weights for f in p.facets] == [(F(1, d),) * n]
+    assert sorted(p.generators) == sorted(support)
+    assert [f.weights for f in p.facets] == _qhull_facets(support)
 
 
 def _qhull_facets(support):
