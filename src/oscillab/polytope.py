@@ -103,15 +103,15 @@ class NewtonPolytope:
 
 
 def _minimal_points(support) -> List[Tuple[int, ...]]:
-    pts = sorted({tuple(int(x) for x in p) for p in support})
-    out = []
-    for p in pts:
-        dominated = any(
-            q != p and all(qi <= pi for qi, pi in zip(q, p)) for q in pts
-        )
-        if not dominated:
-            out.append(p)
-    return out
+    """The support points no other point dominates, lex-sorted.  Only a point of
+    lower degree dominates p, and then so does a kept one: p is tested against those."""
+    kept, lower, degree = [], 0, -1
+    for p in sorted({tuple(int(x) for x in p) for p in support}, key=lambda p: (sum(p), p)):
+        if sum(p) > degree:
+            degree, lower = sum(p), len(kept)
+        if not any(all(qi <= pi for qi, pi in zip(q, p)) for q in kept[:lower]):
+            kept.append(p)
+    return sorted(kept)
 
 
 def _dual_vertices(minpts: List[Tuple[int, ...]], n: int) -> List[FaceFunctional]:

@@ -168,13 +168,14 @@ def test_residual_and_jacobian_match_direct_evaluation():
     # r = (x_i df/dx_i)_i / sum_k |c_k x^a_k| from Polynomial.partial, and the
     # closed-form Jacobians against central differences in u and in phi
     f = parse("3*x1^2*x2 - x1*x2^2*x3 + 2*x2^3*x3^2 - 5*x1^4", 3)
-    A, c = _compile([f])
+    AQ, c = _compile([f])
+    A = AQ[..., :3]
     rng = np.random.default_rng(1)
     u = rng.uniform(-1, 1, size=(1, 4, 3))
     phi = rng.uniform(0, 2 * np.pi, size=(1, 4, 3))
 
     def at(u, phi):
-        return _residual(A, c, u, np.exp(1j * np.einsum("fkn,fsn->fsk", A, phi)))
+        return _residual(AQ, c, u, np.exp(1j * np.einsum("fkn,fsn->fsk", A, phi)))
 
     r, Ju, M = at(u, phi)
     for s in range(4):
@@ -191,3 +192,82 @@ def test_residual_and_jacobian_match_direct_evaluation():
         fd_phi = (at(u, phi + du)[0] - at(u, phi - du)[0]) / (2 * h)
         assert np.allclose(Ju[..., j], fd_u, atol=1e-7)
         assert np.allclose(1j * M[..., j], fd_phi, atol=1e-7)
+
+
+def _residual_by_einsum(A, c, u, sign):
+    """The search's residual kernel as plain einsums over (F, S, K, n, n): an oracle."""
+    z = np.where(c[:, None, :] != 0, np.einsum("fkn,fsn->fsk", A, u), -np.inf)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    w = np.abs(c)[:, None, :] * e
+    v = sign * c[:, None, :] * e
+    total = w.sum(axis=-1)[..., None]
+    r = np.einsum("fkn,fsk->fsn", A, v) / total
+    M = np.einsum("fki,fkj,fsk->fsij", A, A, v) / total[..., None]
+    grad_total = np.einsum("fkn,fsk->fsn", A, w) / total
+    return r, M - r[..., :, None] * grad_total[..., None, :], M
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_residual_matches_the_einsum_oracle(n):
+    # faces with 2..9 terms compile to one K, so most rows are zero-padded
+    rng = np.random.default_rng(n)
+    faces = []
+    for k in rng.integers(2, 10, size=6):
+        terms = {}
+        while len(terms) < k:
+            terms[tuple(int(a) for a in rng.integers(0, 7, size=n))] = Fraction(
+                int(rng.choice([-1, 1]) * rng.integers(1, 9)), int(rng.integers(1, 4)))
+        faces.append(Polynomial(n, terms))
+    AQ, c = _compile(faces)
+    A = AQ[..., :n]
+    assert np.any(c == 0)
+    u = rng.uniform(-3, 3, size=(len(faces), 30, n))
+    phi = rng.uniform(0, 2 * np.pi, size=u.shape)
+    real_sign = np.where(np.einsum("fkn,fsn->fsk", A, (phi < np.pi).astype(float)) % 2, -1.0, 1.0)
+    for sign in (real_sign, np.exp(1j * np.einsum("fkn,fsn->fsk", A, phi))):
+        for got, want in zip(_residual(AQ, c, u, sign), _residual_by_einsum(A, c, u, sign)):
+            assert got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# (phase, n, real status, real starts, complex status, complex starts): the five
+# perfbench geometry phases at seed 1, a face polynomial that is singular on the
+# real torus only through its 2-face, and a real-nondegenerate, complex-degenerate
+# sum of a square and sixth powers
+PINNED = [
+    ("5*x1^27 + x2*x1^22 + 3*x2^2*x1^18 + x2^3*x1^15 + 4*x2^5*x1^10 + 4*x2^6*x1^8"
+     " + 4*x2^8*x1^5 + 4*x2^9*x1^4 + 2*x2^12*x1^2 + x2^14*x1 + 4*x2^17", 2,
+     "likely-nondegenerate", 0, "likely-nondegenerate", 800),
+    ("4*x3^6 + 5*x2^6 + x1^6 + 4*x3^2*x2^2 + 3*x2^2*x1^2 + 2*x3^2*x1^2", 3,
+     "likely-nondegenerate", 160, "likely-nondegenerate", 1040),
+    ("(x2^2 - 2*x1^2)^2 + x3^6 + x2^2*x3^2 + x1^2*x3^2", 3,
+     "degenerate", 0, "degenerate", 640),
+    ("4*x3^6 + x4^6 + 5*x2^6 + 2*x1^6 + 4*x3^4*x4^2 + 4*x3^2*x4^4 + 5*x4^4*x2^2"
+     " + 2*x4^2*x2^4 + 3*x2^4*x1^2 + 2*x2^2*x1^4 + 2*x3^4*x1^2 + 4*x3^2*x1^4"
+     " + 3*x3^2*x4^2*x2^2 + x4^2*x2^2*x1^2 + 4*x3^2*x2^2*x1^2", 4,
+     "likely-nondegenerate", 200, "likely-nondegenerate", 880),
+    ("(x2^2 - x1^3)^2 + 3*x2^6 + x1^8", 2, "degenerate", 0, "degenerate", 80),
+    ("(2*x1^2 + 2*x2^2 + 2*x3^2 - 3*x1*x2 - 3*x1*x3 - 3*x2*x3)^2", 3,
+     "degenerate", 40, "degenerate", 320),
+    ("(x1^2 + x2^2 + x3^2)^2 + x1^6 + x2^6 + x3^6", 3,
+     "likely-nondegenerate", 40, "degenerate", 320),
+]
+
+
+@pytest.mark.parametrize("phase, n, r_status, r_starts, c_status, c_starts", PINNED)
+def test_pinned_verdicts(phase, n, r_status, r_starts, c_status, c_starts):
+    f = parse(phase, n)
+    real = check_R_nondegenerate(f, SearchOptions(starts=40))
+    cplx = check_C_nondegenerate(f, SearchOptions(starts=80))
+    assert (real.status, real.starts) == (r_status, r_starts)
+    assert (cplx.status, cplx.starts) == (c_status, c_starts)
+    for verdict in (real, cplx):
+        if verdict.degenerate:
+            # a witness may be any zero on its face's orbit, but it must be one
+            x = list(verdict.witness)
+            fsig = f.restrict_to_weights(verdict.face.weights, 1)
+            scale = sum(abs(float(v)) * abs(np.prod([xi ** e for xi, e in zip(x, exps)]))
+                        for exps, v in fsig.terms.items())
+            euler = [x[i] * fsig.partial(i + 1).evaluate(x) for i in range(n)]
+            assert max(abs(g) for g in euler) <= 1e-6 * scale
+            assert verdict.residual < 1e-12

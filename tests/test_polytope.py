@@ -374,6 +374,23 @@ def test_build_matches_subset_enumeration_on_geometry_phases(phase, n):
     assert repr(build_polytope(support)) == repr(_oracle_polytope(support))
 
 
+def _minimal_points_by_scan(support):
+    """Every support point no other point dominates, by the full quadratic scan."""
+    pts = sorted(set(support))
+    return [p for p in pts if not any(q != p and all(a <= b for a, b in zip(q, p))
+                                      for q in pts)]
+
+
+def test_minimal_points_match_the_full_scan():
+    rng = random.Random(0)
+    for _ in range(1000):
+        n = rng.randint(1, 4)
+        support = [tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(1, 30))]
+        assert _minimal_points(support) == _minimal_points_by_scan(support)
+    for support in (_dense(4, 6), _dense(3, 6) + _dense(3, 7) + _dense(3, 4)):
+        assert _minimal_points(support) == _minimal_points_by_scan(support)
+
+
 def _dense(n, d):
     return [tuple(c.count(i) for i in range(n))
             for c in combinations_with_replacement(range(n), d)]
@@ -401,10 +418,8 @@ def _qhull_facets(support):
     """
     from scipy.spatial import ConvexHull
 
-    pts = sorted(set(support))
-    n = len(pts[0])
-    minpts = [p for p in pts if not any(q != p and all(a <= b for a, b in zip(q, p))
-                                        for q in pts)]
+    minpts = _minimal_points_by_scan(support)
+    n = len(minpts[0])
     far = [tuple(x + 8 * (i == j) for j, x in enumerate(p)) for p in minpts for i in range(n)]
     hull = ConvexHull(minpts + far)
     weights = set()

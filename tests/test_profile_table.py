@@ -101,6 +101,57 @@ def test_table_estimate_covers_the_oracle_error():
     print(f"profile table: largest true/estimate {worst:.2f} over {len(cases) * 7} cases")
 
 
+def test_table_estimate_covers_the_oracle_error_across_the_beat():
+    # the cutoff (0.9, 1): |P - closed form| beats with period 2 pi / (1 - 0.9^4)
+    # in the table's t; t runs densely over the pieces, across T* and past it
+    a, b, d, npow = 0.9, 1.0, 4, 0
+    table = quad._profile_table(d, npow, a / b)
+    table._search(np.inf)
+    beat = 2.0 * np.pi / (1.0 - a**d)
+    ts = np.concatenate([np.linspace(0.0, 1.5 * table.tstar, 150),
+                         table.tstar + beat * np.linspace(-1.0, 2.0, 25)])
+    vals, errs = oscillatory_profile(ts, d, npow, CutoffFunction(a, b))
+    for t, v, e in zip(ts, vals, errs):
+        assert abs(v - _oracle(t, d, npow, a, b, ts.max())) <= e, t
+
+
+# On a real cutoff the builder's error dominates every piece's error and the
+# gap to the closed form only decays past T*, so the two tests below hand the
+# table a builder with a known answer and zero or fixed error instead.
+
+def test_piece_error_carries_the_trailing_coefficients(monkeypatch):
+    # e^{3it} turns 24 radians over a piece: near the limit of degree 24, so
+    # the interpolation error is all there is, and only |c_23| + |c_24| sees it
+    def exact(ts, *args):
+        return np.exp(3j * ts), np.zeros(len(ts))
+
+    monkeypatch.setattr(quad, "_halfline_profile", exact)
+    table = quad._ProfileTable(4, 0, 0.9)
+    ts = np.linspace(0.0, 400.0, 2001)
+    vals, errs = table(ts)
+    assert table.tstar == np.inf
+    assert np.all(np.abs(vals - np.exp(3j * ts)) <= errs)
+
+
+def test_tstar_needs_three_candidates_in_a_row(monkeypatch):
+    # a remainder over the closed form that falls within the builder's error
+    # at the candidates 88 and 128 and comes back near t = 210: T* taken at
+    # the first candidate would serve the closed form there
+    closed = quad._ProfileTable(4, 0, 0.9)._closed_form
+
+    def truth(ts):
+        remainder = np.exp(-(ts / 30.0) ** 2) + np.exp(-((ts - 210.0) / 20.0) ** 2)
+        return closed(np.maximum(ts, 1.0)) + 1e-12 * remainder
+
+    monkeypatch.setattr(quad, "_halfline_profile",
+                        lambda ts, *args: (truth(ts), np.full(len(ts), 1e-14)))
+    table = quad._ProfileTable(4, 0, 0.9)
+    ts = np.linspace(64.0, 800.0, 1500)
+    vals, errs = table(ts)
+    assert np.all(np.abs(vals - truth(ts)) <= errs)
+    assert table.tstar == 256.0
+
+
 def test_table_estimate_covers_the_oracle_error_on_a_wide_cutoff():
     # eta = 1 only on [0, 0.2]: the builder grades its grid from a^d = 1.6e-3,
     # where u^{-3/4} is singular; whatever it converges to, the table must
