@@ -13,9 +13,10 @@
    amplitude reduces to a half-circle integral of the profile
    (``radial_reduce``), cut at the exact zeros of the phase by ``_cut_rule``.
 3. Tensor: everything else in n <= 3 goes to tensor-product Gauss grids
-   whose panels each hold a bounded number of oscillation wavelengths.  The
-   grid is folded by the sign flips x_i -> -x_i that fix f and the
-   amplitude monomial: the pivot axes of those flips run over [0, r] only.
+   whose panels each hold a bounded number of oscillation wavelengths; the
+   levels raise the Gauss order on those fixed panels.  The grid is folded
+   by the sign flips x_i -> -x_i that fix f and the amplitude monomial: the
+   pivot axes of those flips run over [0, r] only.
    The terms of f in one variable, and a product amplitude, factor into
    complex weights per axis, so only the mixed terms (one exp per node)
    and a radial amplitude (on the annulus where it is neither 0 nor 1) are
@@ -44,8 +45,8 @@ built lazily, only where a call asks for them, by the Filon-type
 The separable route takes any n; the other routes reject n >= 4 before
 any grid work.  Every error estimate compares successive
 refinement levels through one rule, ``_refine``, plus roundoff on Filon
-levels.  Estimates are heuristic diagnostics, not certified bounds.  All
-accumulation orders are deterministic and independent of the number of
+and tensor levels.  Estimates are heuristic diagnostics, not certified
+bounds.  All accumulation orders are deterministic and independent of the number of
 threads, so results are reproducible bitwise.
 """
 
@@ -55,7 +56,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from math import ceil, comb, gamma, pi, prod
 from typing import Callable, List
 
@@ -78,6 +79,8 @@ __all__ = [
 DEFAULT_MAX_PANELS = 10**6
 _WPP = 2.0  # target wavelengths per panel at order 16
 _BLOCK_NODES = 1 << 17  # most nodes in one block of the tensor grid
+_TENSOR_WPP = 4.0  # wavelengths per panel of the one tensor grid per tau
+_TENSOR_ORDERS = (14, 20, 28, 40)  # Gauss order per panel, level by level, on that grid
 # most blocks in flight: 15 * 2^17 nodes stays under the 2,000,000-node chunks
 # that the tensor grid was evaluated in before blocks, on any number of CPUs
 _POOL_WORKERS = 15
@@ -944,46 +947,25 @@ def _sign_fold(f: Polynomial, nu) -> List[int]:
 
 
 def _tensor_grids(f: Polynomial, lows, radius: float, tau: float, max_panels: int):
-    """Axis edges at 2, 1, 1/2 and 1/4 wavelengths per panel, budget-checked.
+    """Axis edges at ``_TENSOR_WPP`` wavelengths per panel, one array per axis.
 
-    Axis i runs over [lows[i], radius].  The first two levels always run, so
-    both are built and checked against the panel budget by this call, before
-    any level is evaluated; the finer levels are built as they are iterated.
-    Where an axis gets the same phase-resolved edges as at the level before
-    (at small tau the grid is floored at ``min_panels``), or fewer edges than
-    its previous grid, every panel of that grid is bisected instead, so that
-    no level is compared with itself or falls back to a coarser grid.
+    Axis i runs over [lows[i], radius].  Every order of ``_TENSOR_ORDERS``
+    runs on these edges.  The budget counts the panels the grid would have
+    at 1 wavelength per panel, and this call raises ``QuadratureBudgetError``
+    before any level is evaluated.
     """
 
-    def level(wpp, prev):
-        resolved, axes = [], []
-        for i in range(f.n):
-            dens_b = _gradient_bound_1d(f, i, radius)
-            edges = phase_resolved_edges(
-                lows[i], radius, lambda u: tau * dens_b(u) / (2 * pi),
-                wpp=wpp, max_panels=max_panels,
-            )
-            resolved.append(edges)
-            if prev is not None:
-                prev_resolved, prev_axis = prev[0][i], prev[1][i]
-                if np.array_equal(edges, prev_resolved) or len(edges) < len(prev_axis):
-                    edges = np.union1d(prev_axis, 0.5 * (prev_axis[1:] + prev_axis[:-1]))
-            axes.append(edges)
-        total_panels = prod(len(edges) - 1 for edges in axes)
-        if total_panels > max_panels:
-            raise QuadratureBudgetError(
-                f"tensor grid needs {total_panels} panels, budget is {max_panels}"
-            )
-        return resolved, axes
+    def axis(i, wpp):
+        dens_b = _gradient_bound_1d(f, i, radius)
+        return phase_resolved_edges(lows[i], radius, lambda u: tau * dens_b(u) / (2 * pi),
+                                    wpp=wpp, max_panels=max_panels)
 
-    def finer(grid):
-        for wpp in (0.5, 0.25):
-            grid = level(wpp, grid)
-            yield grid[1]
-
-    first = level(2.0, None)
-    second = level(1.0, first)
-    return chain((first[1], second[1]), finer(second))
+    total_panels = prod(len(axis(i, 1.0)) - 1 for i in range(f.n))
+    if total_panels > max_panels:
+        raise QuadratureBudgetError(
+            f"tensor grid needs {total_panels} panels, budget is {max_panels}"
+        )
+    return [axis(i, _TENSOR_WPP) for i in range(f.n)]
 
 
 def _grid_blocks(shape) -> List[tuple]:
@@ -1040,7 +1022,15 @@ def _tensor_oscillatory(
     tol: float,
     max_panels: int,
 ) -> List[OscillatorySample]:
-    """Tensor-product Gauss quadrature on open grids, with a doubling error estimate, per tau.
+    """Tensor-product Gauss quadrature on open grids, refined in order on fixed panels, per tau.
+
+    Levels: each tau gets one grid of panels (``_tensor_grids``), and level k
+    puts ``_TENSOR_ORDERS[k]`` Gauss nodes on every panel of it.  On an
+    analytic integrand Gauss converges faster in the order than in the panel
+    width, and two orders on the same panels always differ, so the estimate
+    |v_k - v_{k-1}| always measures something.  Each level adds the roundoff
+    floor ``_ROUNDOFF`` 2^k prod_i sum |w_i| (w_i the axis weights below):
+    |e^{i theta}| = 1 and |eta| <= 1 on every node.
 
     Fold: the axes of ``_sign_fold`` run over [0, r] in place of [-r, r],
     and the value is multiplied by 2^k, k the number of folded axes.
@@ -1063,8 +1053,8 @@ def _tensor_oscillatory(
     cores.  At tau = 0 under a product amplitude nothing is on the grid, and
     the value is the product of the axis sums.
 
-    The first two levels of every tau are built and budget-checked before any
-    tau is evaluated.
+    The grid of every tau is built, and its budget checked at 1 wavelength
+    per panel, before any tau is evaluated.
     """
     radius = phi.cutoff.support_radius()
     folded = _sign_fold(f, phi.nu)
@@ -1077,16 +1067,18 @@ def _tensor_oscillatory(
     grid_phase = Polynomial(len(on_grid), {tuple(e[i] for i in on_grid): c
                                            for e, c in mixed.terms.items()})
 
-    def evaluate(tau, axes):
-        rules = [_composite(edges, 10) for edges in axes]
+    def evaluate(tau, axes, order):
+        rules = [_composite(edges, order) for edges in axes]
         weights = []
         for p, k, (x, w) in zip(parts, phi.nu, rules):
             w = w * np.exp(1j * tau * p.evaluate([x])) * (x**k if k else 1.0)
             weights.append(w if radial else w * phi.cutoff(x))
-        value = 2.0 ** len(folded) * np.exp(1j * tau * float(const))
+        fold = 2.0 ** len(folded)
+        floor = _ROUNDOFF * fold * prod(np.sum(np.abs(w)) for w in weights)
+        value = fold * np.exp(1j * tau * float(const))
         phase = grid_phase.scale(Fraction(tau))
         if not (radial or phase.terms):
-            return value * prod(np.sum(w) for w in weights)
+            return value * prod(np.sum(w) for w in weights), floor
         for i in range(f.n):
             if i not in on_grid:
                 value = value * np.sum(weights[i])
@@ -1108,11 +1100,11 @@ def _tensor_oscillatory(
         total = 0j
         for partial in _pool().map(block, _grid_blocks([len(x) for x in nodes])):
             total += partial
-        return value * total
+        return value * total, floor
 
     samples = []
-    for tau, plan in zip(map(float, taus), plans):
-        v, e, conv = _refine(((evaluate(tau, axes), 0.0) for axes in plan), tol)
+    for tau, axes in zip(map(float, taus), plans):
+        v, e, conv = _refine((evaluate(tau, axes, order) for order in _TENSOR_ORDERS), tol)
         samples.append(OscillatorySample(tau, complex(v), float(e), conv))
     return samples
 
@@ -1155,8 +1147,11 @@ def eval_oscillatory(
        on this route, and a sample it does not converge is returned as
        such, never retried on the tensor grid;
     3. tensor: everything else in n <= 3 goes through tensor-product
-       quadrature with a panel-doubling error estimate, on grids folded by
-       the sign symmetries of f and the amplitude monomial.
+       quadrature on one phase-resolved grid per tau, folded by the sign
+       symmetries of f and the amplitude monomial; the error estimate
+       compares Gauss orders on those fixed panels, plus a roundoff floor.
+       ``max_panels`` bounds the panels the grid would have at 1 wavelength
+       per panel.
 
     Only the separable route takes n >= 4; any other phase there raises
     ``ValueError`` before any grid work.
@@ -1179,8 +1174,8 @@ def eval_oscillatory_series(
     profile value and its error come from the profile table alone, so a
     sample is the same as it would be alone.  Each sample is converged when
     its own axis errors meet the axis tolerance.  On the tensor route the
-    panel budget of the first two levels is checked for every tau before any
-    tau is evaluated; the radial and tensor routes then run tau by tau.
+    panel budget is checked for every tau before any tau is evaluated; the
+    radial and tensor routes then run tau by tau.
     """
     taus = np.asarray(taus, dtype=float).reshape(-1)
     route = _route(f, phi, taus, tol)

@@ -491,9 +491,10 @@ def test_budget_error():
 
 
 def test_tensor_budget_is_checked_before_any_evaluation(monkeypatch):
-    # x1 is folded onto [0, 2]; at tau = 600 the wpp = 2 grid fits the budget
-    # (962 x 770 panels) and the wpp = 1 grid does not; both levels always
-    # run, so the error must come before either
+    # x1 is folded onto [0, 2]; at tau = 600 the levels run on a grid of
+    # 485 x 388 panels at 4 wavelengths per panel, but the budget counts the
+    # panels at 1 wavelength per panel (1917 x 1534), so the error must come
+    # before any level is evaluated
     f = parse("x2^2 - x1*x2 + x1^4", 2)
     phi = TestFunction(nu=(0, 0), cutoff=ETA)
 
@@ -514,8 +515,9 @@ def test_tensor_budget_is_checked_before_any_evaluation(monkeypatch):
     + [("x1^2 + x2^2 + x3^2", 3, 5.0, 1e-6)],
 )
 def test_tensor_error_estimate_covers_gap_at_small_tau(phase, n, tau, tol):
-    # at small tau the phase-resolved grid is floored at min_panels, so two
-    # levels can get the same edges; the estimate must still measure something
+    # at small tau the phase-resolved grid is floored at min_panels; the
+    # levels differ in their Gauss order on it, so the estimate still
+    # measures something
     f = parse(phase, n)
     phi = TestFunction(nu=(0,) * n, cutoff=ETA, shape="radial")
     s = _tensor(f, phi, tau, tol=tol)
@@ -539,18 +541,24 @@ def test_tensor_n3_matches_radial_reduction():
     assert abs(s.value - _ball_reference(10.0)) <= tol
 
 
+def _separated_n3_reference(tau):
+    """I(tau) of x1^2 + x1*x2 + x2^2 + x3^2 under the product amplitude.
+
+    x3 separates: the integral is a dense 2-D sum in (x1, x2) times a dense
+    1-D sum in x3, sharing no grid with the folded tensor route.
+    """
+    x, w = _dense_axis_rule()
+    return (_dense_tensor_reference("x1^2 + x1*x2 + x2^2", (0, 0), tau, "product")
+            * complex(np.sum(w * np.exp(1j * tau * x**2) * ETA(x))))
+
+
 def test_tensor_n3_mixed_phase_matches_separated_dense_reference():
-    # x3 separates: the integral is a dense 2-D sum in (x1, x2) times a dense
-    # 1-D sum in x3, sharing no grid with the folded tensor route
     f = parse("x1^2 + x1*x2 + x2^2 + x3^2", 3)
     phi = TestFunction(nu=(0, 0, 0), cutoff=ETA)
     tau = 8.0
     s = eval_oscillatory(f, phi, tau, tol=1e-6)
-    x, w = _dense_axis_rule()
-    ref = (_dense_tensor_reference("x1^2 + x1*x2 + x2^2", (0, 0), tau, "product")
-           * complex(np.sum(w * np.exp(1j * tau * x**2) * ETA(x))))
     assert s.converged
-    assert abs(s.value - ref) <= s.error_estimate
+    assert abs(s.value - _separated_n3_reference(tau)) <= s.error_estimate
 
 
 # -- sign folds of the tensor grid -------------------------------------------------
@@ -705,19 +713,19 @@ def test_n4_phase_off_the_separable_route_is_rejected_before_any_grid(monkeypatc
 
 RADIAL_ROUTE = [("x1^2 + x1*x2 + x2^2", 20.0),           # definite
                 ("x1^2 - x2^2", 20.0),
-                ("x1^3 + x2^3", 20.0),                   # the tensor estimate under-covers here
+                ("x1^3 + x2^3", 20.0),
                 ("(x1 - 3*x2)^2*(x1^2 + x2^2)", 2.0)]    # a double zero on the circle
 
 
-def _dense_axis_rule():
-    """100 uniform 16-point Gauss-Legendre panels on the support [-2, 2]."""
+def _dense_axis_rule(panels=100):
+    """Uniform 16-point Gauss-Legendre panels on the support [-2, 2]."""
     x16, w16 = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(-2.0, 2.0, 101)
+    edges = np.linspace(-2.0, 2.0, panels + 1)
     mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     return (mid[:, None] + hw[:, None] * x16).ravel(), (hw[:, None] * w16).ravel()
 
 
-def _dense_tensor_reference(phase, nu, tau, shape="radial"):
+def _dense_tensor_reference(phase, nu, tau, shape="radial", panels=100):
     """int exp(i tau f(x)) x^nu eta dx, n = 2, by fixed dense tensor Gauss-Legendre.
 
     ``_dense_axis_rule`` on both axes of the whole support square: no
@@ -727,7 +735,7 @@ def _dense_tensor_reference(phase, nu, tau, shape="radial"):
     """
     f = parse(phase, 2)
     phi = TestFunction(nu=nu, cutoff=ETA, shape=shape)
-    x, w = _dense_axis_rule()
+    x, w = _dense_axis_rule(panels)
     total = 0j
     for i in range(0, len(x), 200):
         x1, x2 = x[i : i + 200, None], x[None, :]
@@ -789,6 +797,105 @@ def test_radial_reduce_validation():
     with pytest.raises(ValueError, match="n = 2 only"):  # no sphere rule
         radial_reduce(parse("x1^2 + x2^2 + x3^2", 3),
                       TestFunction(nu=(0, 0, 0), cutoff=ETA, shape="radial"), 10.0)
+
+
+# -- calibration of the tensor route against references that share no grid with it --
+
+# x2^2 - x1*x2 + x1^4 at tau 10 and tol 1e-12 under-covers in both shapes
+# without the roundoff floor
+TENSOR_CALIBRATION = [("x2^2 + x1*x2 + x1^4", "product"),
+                      ("x2^2 - x1*x2 + x1^4", "product"),
+                      ("x2^2 + x1^2*x2 + x1^4", "product"),
+                      ("x1^4 + x1*x2^2 + x2^4", "product"),
+                      ("x1^3 + x1*x2 + x2^2", "product"),
+                      ("x1^2 + x1*x2 + x2^4", "radial"),
+                      ("x2^2 - x1*x2 + x1^4", "radial")]
+CALIBRATION_TOLS = (1e-8, 1e-10, 1e-12)
+
+
+@lru_cache(maxsize=None)
+def _calibration_reference(phase, shape, tau):
+    return _dense_tensor_reference(phase, (0, 0), tau, shape)
+
+
+def _assert_tensor_covers(f, phi, tau, ref):
+    for tol in CALIBRATION_TOLS:
+        s = _tensor(f, phi, tau, tol)
+        assert s.converged
+        assert abs(s.value - ref) <= s.error_estimate
+
+
+@pytest.mark.parametrize("phase,shape", TENSOR_CALIBRATION)
+def test_dense_reference_agrees_with_itself_at_twice_the_panels(phase, shape):
+    # tau 20 is the most oscillatory calibration tau
+    fine = _dense_tensor_reference(phase, (0, 0), 20.0, shape, panels=200)
+    assert abs(fine - _calibration_reference(phase, shape, 20.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("tau", [0.5, 10.0, 20.0])
+@pytest.mark.parametrize("phase,shape", TENSOR_CALIBRATION)
+def test_tensor_estimate_covers_the_dense_reference(phase, shape, tau):
+    phi = TestFunction(nu=(0, 0), cutoff=ETA, shape=shape)
+    _assert_tensor_covers(parse(phase, 2), phi, tau, _calibration_reference(phase, shape, tau))
+
+
+@pytest.mark.parametrize("phase,nu,tau", [
+    ("x1^3 + x2^3", (0, 0), 20.0),  # estimated 5.4e-12 against 9.5e-11 when panels were halved
+    ("x1^3 + x2^3", (2, 0), 20.0),
+    ("x1^2 - x2^2", (0, 0), 20.0),
+    ("x1^2 + x1*x2 + x2^2", (1, 1), 5.0),
+])
+def test_tensor_estimate_covers_the_circle_route(phase, nu, tau):
+    f = parse(phase, 2)
+    phi = TestFunction(nu=nu, cutoff=ETA, shape="radial")
+    ref = radial_reduce(f, phi, tau, tol=1e-13)
+    assert ref.converged
+    _assert_tensor_covers(f, phi, tau, ref.value)
+
+
+@pytest.mark.parametrize("tau", [0.5, 5.0])
+def test_tensor_estimate_covers_the_ball_profile_in_n3(tau):
+    phi = TestFunction(nu=(0, 0, 0), cutoff=ETA, shape="radial")
+    _assert_tensor_covers(parse("x1^2 + x2^2 + x3^2", 3), phi, tau, _ball_reference(tau))
+
+
+@pytest.mark.parametrize("tau", [2.0, 8.0])
+def test_tensor_estimate_covers_a_separated_dense_reference_in_n3(tau):
+    phi = TestFunction(nu=(0, 0, 0), cutoff=ETA)
+    _assert_tensor_covers(parse("x1^2 + x1*x2 + x2^2 + x3^2", 3), phi, tau,
+                          _separated_n3_reference(tau))
+
+
+def test_tensor_levels_raise_the_order_on_one_grid_per_tau(monkeypatch):
+    # the benchmark's mixed sweep: 8 taus over 10..80 at tol 1e-10 took
+    # 16.67M grid nodes when each level halved the panels
+    calls = []
+    composite = quad._composite
+
+    def counting(edges, order):
+        calls.append((edges, order))
+        return composite(edges, order)
+
+    monkeypatch.setattr(quad, "_composite", counting)
+    f = parse("x2^2 + x1*x2 + x1^4", 2)
+    samples = eval_oscillatory_series(f, TestFunction(nu=(0, 0), cutoff=ETA),
+                                      geometric_grid(10.0, 80.0, 8), tol=1e-10)
+    assert all(s.converged for s in samples)
+    levels = [calls[i : i + 2] for i in range(0, len(calls), 2)]  # one call per axis
+    per_tau = []
+    for level in levels:
+        assert level[0][1] == level[1][1]
+        if level[0][1] == quad._TENSOR_ORDERS[0]:
+            per_tau.append([])
+        per_tau[-1].append(level)
+    assert len(per_tau) == len(samples)
+    for tau_levels in per_tau:
+        orders = [level[0][1] for level in tau_levels]
+        assert orders == list(quad._TENSOR_ORDERS[: len(orders)])
+        for level in tau_levels:
+            assert all(edges is first for (edges, _), (first, _) in zip(level, tau_levels[0]))
+    nodes = sum(prod((len(edges) - 1) * order for edges, order in level) for level in levels)
+    assert nodes <= 16.67e6 / 2
 
 
 # -- blowup-chart integrals -----------------------------------------------------
