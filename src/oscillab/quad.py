@@ -43,10 +43,15 @@ built lazily, only where a call asks for them, by the Filon-type
 ``_halfline_profile``.  Each value carries the error of its piece.
 
 The separable route takes any n; the other routes reject n >= 4 before
-any grid work.  Every error estimate compares successive
+any grid work.  Every error estimate above the profile compares successive
 refinement levels through one rule, ``_refine``, plus roundoff on Filon
-and tensor levels.  Estimates are heuristic diagnostics, not certified
-bounds.  All accumulation orders are deterministic and independent of the number of
+and tensor levels.  The profile's builder ``_halfline_profile`` stops each
+t by its own rule: at the first level whose |value - previous value| plus
+its roundoff floor is at most 2 x that floor, or at its last level.  The
+grids of ``_refine``'s levels are built only when it asks for them, and
+every panel budget is ``DEFAULT_MAX_PANELS``, read at call time.
+Estimates are heuristic diagnostics, not certified bounds.  All
+accumulation orders are deterministic and independent of the number of
 threads, so results are reproducible bitwise.
 """
 
@@ -56,9 +61,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import ceil, comb, gamma, pi, prod
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -81,6 +86,7 @@ _WPP = 2.0  # target wavelengths per panel at order 16
 _BLOCK_NODES = 1 << 17  # most nodes in one block of the tensor grid
 _TENSOR_WPP = 4.0  # wavelengths per panel of the one tensor grid per tau
 _TENSOR_ORDERS = (14, 20, 28, 40)  # Gauss order per panel, level by level, on that grid
+_ANGLE_LEVELS = (8, 16, 32, 64, 128, 256)  # _cut_rule panels m, level by level, of _angle_sum
 # most blocks in flight: 15 * 2^17 nodes stays under the 2,000,000-node chunks
 # that the tensor grid was evaluated in before blocks, on any number of CPUs
 _POOL_WORKERS = 15
@@ -180,39 +186,6 @@ def _refine(levels, tol: float):
     return prev, err, False
 
 
-def phase_resolved_edges(
-    a: float,
-    b: float,
-    cycle_density: Callable,
-    wpp: float = _WPP,
-    min_panels: int = 8,
-    max_panels: int = DEFAULT_MAX_PANELS,
-) -> np.ndarray:
-    """Panel edges on [a,b] with roughly ``wpp`` oscillation cycles per panel.
-
-    ``cycle_density(u)`` is an upper bound on |d(phase)/du| / (2 pi).
-    Raises QuadratureBudgetError when the required panel count exceeds budget.
-    """
-    grid = np.linspace(a, b, 2049)
-    dens = np.abs(np.asarray(cycle_density(grid), dtype=float))
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-    total = cum[-1]
-    m = int(ceil(total / wpp)) if total > 0 else 0
-    if m > max_panels:
-        raise QuadratureBudgetError(
-            f"oscillation-resolved grid needs {m} panels, budget is {max_panels}"
-        )
-    m = max(m, min_panels)
-    if total > 0:
-        targets = np.linspace(0.0, total, m + 1)
-        edges = np.interp(targets, cum, grid)
-    else:
-        edges = np.linspace(a, b, m + 1)
-    # never let a panel exceed the uniform min_panels width
-    edges = np.union1d(edges, np.linspace(a, b, min_panels + 1))
-    return np.unique(edges)
-
-
 def erdelyi_leading(b: float, d: int, c: float, tau: float) -> complex:
     """Leading term of int_0^inf exp(i tau c u^d) u^(b-1) eta(u) du.
 
@@ -235,12 +208,12 @@ def erdelyi_leading(b: float, d: int, c: float, tau: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _profile_edges(bsup: float, tmax: float, d: int, wpp: float, max_panels: int):
+def _profile_edges(bsup: float, tmax: float, d: int, wpp: float):
     cycles = tmax * bsup**d / (2 * pi)
     m = int(ceil(cycles / wpp)) if cycles > 0 else 0
-    if m > max_panels:
+    if m > DEFAULT_MAX_PANELS:
         raise QuadratureBudgetError(
-            f"profile grid needs {m} panels, budget is {max_panels}"
+            f"profile grid needs {m} panels, budget is {DEFAULT_MAX_PANELS}"
         )
     m = max(m, 16)
     # equal phase increments of t*y^d
@@ -281,7 +254,6 @@ def oscillatory_profile_reference(
     tol: float = 1e-10,
     full_line: bool = False,
     absolute: bool = False,
-    max_panels: int = DEFAULT_MAX_PANELS,
 ):
     """Brute-force profile by oscillation-resolved Gauss panels.
 
@@ -296,9 +268,9 @@ def oscillatory_profile_reference(
     # one or two rounds where an embedded low-order estimate would thrash
     def levels():
         for k in range(6):
-            edges = _profile_edges(bsup, tmax, d, _WPP / 2**k, max_panels)
+            edges = _profile_edges(bsup, tmax, d, _WPP / 2**k)
             yield _profile_values(ts, d, npow, eta, edges, 16, full_line, absolute), 0.0
-            if k and len(edges) - 1 >= max_panels:
+            if k and len(edges) - 1 >= DEFAULT_MAX_PANELS:
                 return
 
     vals, errs, _ = _refine(levels(), tol)
@@ -524,10 +496,11 @@ def _profile_level(d: int, npow: int, eta: CutoffFunction, m: int):
 def _halfline_profile(ts: np.ndarray, d: int, npow: int, eta: CutoffFunction):
     """P(t) = int_0^b e^{ity^d} y^npow eta(y) dy for t >= 0, batched, with errors.
 
-    Each t runs the Filon levels of ``_LEVELS`` until two agree to the
-    roundoff floor of a level (``_ROUNDOFF`` times the absolute integrand
-    sum, head included) or the last level has run, and takes ``_refine``'s
-    error there: |value - previous value| plus that floor.  No sum runs
+    Each t runs the Filon levels of ``_LEVELS`` until its error
+    |value - previous value| + floor is at most 2 x floor, where floor is
+    ``_ROUNDOFF`` times the absolute integrand sum of a level, head included,
+    or until the last level has run.  This stop is not ``_refine``'s: it
+    looks at each t on its own and does not take a tolerance.  No sum runs
     across t, so a value does not depend on the other t of the batch, to the
     bit.  This is the one builder of the profile table.
     """
@@ -800,14 +773,15 @@ def _invert(q: np.ndarray, w: np.ndarray, length: float) -> np.ndarray:
     return s
 
 
-def _axis_filon(p: Polynomial, power: int, eta: CutoffFunction, tau: float, tol: float,
-                max_panels: int):
+def _axis_filon(p: Polynomial, power: int, eta: CutoffFunction, tau: float, tol: float):
     """int_{-b}^{b} e^{i tau p(x)} x^power eta(x) dx for any p, at a cost independent of tau.
 
-    Levels double the head and Filon panels together and stop by ``_refine``;
-    the levels that fit ``max_panels`` run, and at least two must fit.  Each
-    level's error is floored at ``_ROUNDOFF`` times its absolute integrand
-    sum, so that levels which agree to the last bit do not read as exact.
+    Levels double the head and Filon panels together and stop by ``_refine``.
+    A level's grid is built when ``_refine`` asks for it, and the levels run
+    while their panels fit ``DEFAULT_MAX_PANELS``; the first two must fit,
+    which is checked before any level is evaluated.  Each level's error is
+    floored at ``_ROUNDOFF`` times its absolute integrand sum, so that levels
+    which agree to the last bit do not read as exact.
     """
     even, segments = _axis_segments(p, eta.support_radius())
     if even and power % 2:
@@ -830,10 +804,14 @@ def _axis_filon(p: Polynomial, power: int, eta: CutoffFunction, tau: float, tol:
             out.append((np.linspace(0.0, head, m // 3 + 1), tail))
         return out
 
-    plans = [grids(m) for m in _LEVELS]
-    counts = [sum(len(h) - 1 + (0 if t is None else len(t) - 1) for h, t in plan) for plan in plans]
-    if counts[1] > max_panels:
-        raise QuadratureBudgetError(f"axis grid needs {counts[1]} panels, budget is {max_panels}")
+    def panels(plan):
+        return sum(len(h) - 1 + (0 if t is None else len(t) - 1) for h, t in plan)
+
+    plans = map(grids, _LEVELS)  # each built when ``_refine`` asks for its level
+    first, second = next(plans), next(plans)
+    if panels(second) > DEFAULT_MAX_PANELS:
+        raise QuadratureBudgetError(
+            f"axis grid needs {panels(second)} panels, budget is {DEFAULT_MAX_PANELS}")
 
     def value(plan):
         total, size = 0j, 0.0
@@ -858,18 +836,12 @@ def _axis_filon(p: Polynomial, power: int, eta: CutoffFunction, tau: float, tol:
             total += np.exp(1j * tau * seg.p0) * part
         return (2.0 * total, 2.0 * _ROUNDOFF * size) if even else (total, _ROUNDOFF * size)
 
-    fits = (plan for plan, count in zip(plans, counts) if count <= max_panels)
+    fits = (plan for plan in chain((first, second), plans) if panels(plan) <= DEFAULT_MAX_PANELS)
     return _refine(map(value, fits), tol)
 
 
-def _axis_integral(
-    poly1d: Polynomial,
-    power: int,
-    eta: CutoffFunction,
-    taus: np.ndarray,
-    tol: float,
-    max_panels: int,
-):
+def _axis_integral(poly1d: Polynomial, power: int, eta: CutoffFunction, taus: np.ndarray,
+                   tol: float):
     """[(value, err, converged)] of int e^{i tau p(x)} x^power eta(x) dx over the full line, per tau.
 
     A pure power is one batched profile call over all of ``taus``; any other
@@ -881,14 +853,14 @@ def _axis_integral(
         vals, errs = oscillatory_profile(taus * float(coeff), dexp, power, eta,
                                          full_line=True, absolute=False)
         return [(complex(v), float(e), bool(e <= tol)) for v, e in zip(vals, errs)]
-    return [_axis_filon(poly1d, power, eta, float(tau), tol, max_panels) for tau in taus]
+    return [_axis_filon(poly1d, power, eta, float(tau), tol) for tau in taus]
 
 
-def _separable_series(f: Polynomial, phi: TestFunction, taus: np.ndarray, tol: float,
-                      max_panels: int) -> List[OscillatorySample]:
+def _separable_series(f: Polynomial, phi: TestFunction, taus: np.ndarray,
+                      tol: float) -> List[OscillatorySample]:
     """Samples of a separable phase: every axis over all of ``taus``, then one product per tau."""
     polys, const = f.axis_parts()
-    axes = [_axis_integral(polys[i], phi.nu[i], phi.cutoff, taus, tol / (4 * f.n), max_panels)
+    axes = [_axis_integral(polys[i], phi.nu[i], phi.cutoff, taus, tol / (4 * f.n))
             for i in range(f.n)]
     samples = []
     for tau, per_axis in zip(map(float, taus), zip(*axes)):
@@ -946,26 +918,41 @@ def _sign_fold(f: Polynomial, nu) -> List[int]:
     return sorted({s.index(1) for s in flips if any(s)})
 
 
-def _tensor_grids(f: Polynomial, lows, radius: float, tau: float, max_panels: int):
+def _tensor_grids(f: Polynomial, lows, radius: float, tau: float):
     """Axis edges at ``_TENSOR_WPP`` wavelengths per panel, one array per axis.
 
-    Axis i runs over [lows[i], radius].  Every order of ``_TENSOR_ORDERS``
-    runs on these edges.  The budget counts the panels the grid would have
-    at 1 wavelength per panel, and this call raises ``QuadratureBudgetError``
-    before any level is evaluated.
+    Axis i runs over [lows[i], radius].  Its cycle count is the trapezoid
+    integral, on 2049 points, of tau / (2 pi) times ``_gradient_bound_1d``,
+    an upper bound on the phase's slope along the axis.  The edges split
+    that count evenly, into at least 8 panels, none wider than 1/8 of the
+    axis.  Every order of ``_TENSOR_ORDERS`` runs on these edges.
+
+    The budget ``DEFAULT_MAX_PANELS`` counts the panels the grid would have
+    at 1 wavelength per panel, from the same cycle count.  An axis past it
+    alone raises ``QuadratureBudgetError`` before any edges are made, and
+    the grid past it raises before the grid's own edges are made.
     """
+    budget, axes = DEFAULT_MAX_PANELS, []
+    for i, low in enumerate(lows):
+        x = np.linspace(low, radius, 2049)
+        dens = tau * _gradient_bound_1d(f, i, radius)(x) / (2 * pi)
+        cycles = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(x))])
+        if ceil(cycles[-1]) > budget:
+            raise QuadratureBudgetError(
+                f"oscillation-resolved grid needs {ceil(cycles[-1])} panels, budget is {budget}")
+        axes.append((low, x, cycles))
 
-    def axis(i, wpp):
-        dens_b = _gradient_bound_1d(f, i, radius)
-        return phase_resolved_edges(lows[i], radius, lambda u: tau * dens_b(u) / (2 * pi),
-                                    wpp=wpp, max_panels=max_panels)
+    def edges(low, x, cycles, wpp):
+        uniform = np.linspace(low, radius, 9)
+        if cycles[-1] == 0:
+            return uniform
+        m = max(ceil(cycles[-1] / wpp), 8)
+        return np.union1d(np.interp(np.linspace(0.0, cycles[-1], m + 1), cycles, x), uniform)
 
-    total_panels = prod(len(axis(i, 1.0)) - 1 for i in range(f.n))
-    if total_panels > max_panels:
-        raise QuadratureBudgetError(
-            f"tensor grid needs {total_panels} panels, budget is {max_panels}"
-        )
-    return [axis(i, _TENSOR_WPP) for i in range(f.n)]
+    total_panels = prod(len(edges(*axis, 1.0)) - 1 for axis in axes)
+    if total_panels > budget:
+        raise QuadratureBudgetError(f"tensor grid needs {total_panels} panels, budget is {budget}")
+    return [edges(*axis, _TENSOR_WPP) for axis in axes]
 
 
 def _grid_blocks(shape) -> List[tuple]:
@@ -1020,7 +1007,6 @@ def _tensor_oscillatory(
     phi: TestFunction,
     taus: np.ndarray,
     tol: float,
-    max_panels: int,
 ) -> List[OscillatorySample]:
     """Tensor-product Gauss quadrature on open grids, refined in order on fixed panels, per tau.
 
@@ -1059,7 +1045,7 @@ def _tensor_oscillatory(
     radius = phi.cutoff.support_radius()
     folded = _sign_fold(f, phi.nu)
     lows = [0.0 if i in folded else -radius for i in range(f.n)]
-    plans = [_tensor_grids(f, lows, radius, tau, max_panels) for tau in map(float, taus)]
+    plans = [_tensor_grids(f, lows, radius, tau) for tau in map(float, taus)]
     mixed = Polynomial(f.n, {e: c for e, c in f.terms.items() if sum(k > 0 for k in e) > 1})
     parts, const = (f - mixed).axis_parts()
     radial = phi.shape == "radial"
@@ -1131,7 +1117,6 @@ def eval_oscillatory(
     phi: TestFunction,
     tau: float,
     tol: float = 1e-8,
-    max_panels: int = DEFAULT_MAX_PANELS,
 ) -> OscillatorySample:
     """I(tau, phi) = int exp(i tau f(x)) phi(x) dx over the support of phi.
 
@@ -1143,20 +1128,21 @@ def eval_oscillatory(
        powers through the profile evaluator, any other axis polynomial
        through its monotone pieces);
     2. radial: a homogeneous phase of degree >= 1 in n = 2 with a radial
-       amplitude goes to ``radial_reduce``.  ``max_panels`` does not apply
-       on this route, and a sample it does not converge is returned as
-       such, never retried on the tensor grid;
+       amplitude goes to ``radial_reduce``.  No panel budget applies on
+       this route, and a sample it does not converge is returned as such,
+       never retried on the tensor grid;
     3. tensor: everything else in n <= 3 goes through tensor-product
        quadrature on one phase-resolved grid per tau, folded by the sign
        symmetries of f and the amplitude monomial; the error estimate
        compares Gauss orders on those fixed panels, plus a roundoff floor.
-       ``max_panels`` bounds the panels the grid would have at 1 wavelength
-       per panel.
+       ``DEFAULT_MAX_PANELS`` bounds the panels the grid would have at 1
+       wavelength per panel.  The separable route bounds the panels of each
+       non-power axis by the same constant.
 
     Only the separable route takes n >= 4; any other phase there raises
     ``ValueError`` before any grid work.
     """
-    return eval_oscillatory_series(f, phi, [tau], tol, max_panels)[0]
+    return eval_oscillatory_series(f, phi, [tau], tol)[0]
 
 
 def eval_oscillatory_series(
@@ -1164,7 +1150,6 @@ def eval_oscillatory_series(
     phi: TestFunction,
     taus,
     tol: float = 1e-8,
-    max_panels: int = DEFAULT_MAX_PANELS,
 ) -> List[OscillatorySample]:
     """``eval_oscillatory`` at every tau of ``taus``, in order.
 
@@ -1180,10 +1165,10 @@ def eval_oscillatory_series(
     taus = np.asarray(taus, dtype=float).reshape(-1)
     route = _route(f, phi, taus, tol)
     if route == "separable":
-        return _separable_series(f, phi, taus, tol, max_panels)
+        return _separable_series(f, phi, taus, tol)
     if route == "radial":
         return [radial_reduce(f, phi, tau, tol) for tau in map(float, taus)]
-    return _tensor_oscillatory(f, phi, taus, tol, max_panels)
+    return _tensor_oscillatory(f, phi, taus, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1192,11 +1177,12 @@ def eval_oscillatory_series(
 # ---------------------------------------------------------------------------
 
 
-def _angle_sum(groups, profile, tau: float, tol: float, levels) -> OscillatorySample:
+def _angle_sum(groups, profile, tau: float, tol: float) -> OscillatorySample:
     """Sum over ``groups`` of int P(tau h(x)) w(x) dx, one ``profile`` call per level.
 
-    A group is (h, rule, terms): h maps nodes to phase values, rule(m) gives
-    the nodes and weights of level m, and each term (weight, conjugate,
+    The levels are m of ``_ANGLE_LEVELS``, for every caller.  A group is
+    (h, rule, terms): h maps nodes to phase values, rule(m) gives the nodes
+    and weights of level m, and each term (weight, conjugate,
     factor) adds factor * sum_i w_i weight(x_i) P_i, with conj P_i when
     ``conjugate``.  The profile of all groups' nodes at tau h is one
     ``profile(ts)`` call, which returns values and errors.  A group's error is
@@ -1217,7 +1203,7 @@ def _angle_sum(groups, profile, tau: float, tol: float, levels) -> OscillatorySa
                 err += abs(factor) * spread
         return value, err
 
-    v, e, conv = _refine(map(level, levels), tol)
+    v, e, conv = _refine(map(level, _ANGLE_LEVELS), tol)
     return OscillatorySample(float(tau), complex(v), float(e), conv)
 
 
@@ -1236,8 +1222,8 @@ def radial_reduce(
     one half circle [z0, z0 + pi) counted twice: once as it is, once times
     (-1)^|nu| and conjugated when d is odd.  The half circle is cut at the
     exact zeros of h in [0, pi) (``poly.circle_zeros``), or is (0, pi) when h
-    has none, and runs on the levels m = 4..256 of ``_cut_rule`` through
-    ``_angle_sum``.
+    has none, and runs on ``_cut_rule`` through ``_angle_sum``, on the
+    levels of ``_ANGLE_LEVELS``.
     """
     d = f.homogeneous_degree()
     if d is None:
@@ -1258,7 +1244,7 @@ def radial_reduce(
              lambda m: _cut_rule(cuts, zero, tau, m),
              ((weight, False, 1), (weight, d % 2 == 1, (-1) ** sum(phi.nu))))
     return _angle_sum([group], lambda ts: oscillatory_profile(ts, d, npow, phi.cutoff),
-                      tau, tol, (4, 8, 16, 32, 64, 128, 256))
+                      tau, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1294,7 +1280,7 @@ def chart_parity_integral(charts, sc: SymmetricCutoff, tau: float,
     to sign form one group of ``_angle_sum`` and share one profile array: the
     real weight |y| eta gives P(-t) = conj P(t).  An even h, with the even
     theta, takes the v > 0 half of its symmetric rule, doubled.  The levels
-    are m = 8..64, each one profile call for all groups.
+    are those of ``_ANGLE_LEVELS``, each one profile call for all groups.
     """
     charts = list(charts)
     if not charts or any(ch.h.n != 1 for ch in charts):
@@ -1321,4 +1307,4 @@ def chart_parity_integral(charts, sc: SymmetricCutoff, tau: float,
     return _angle_sum([group(h, terms) for h, terms in members.items()],
                       lambda ts: oscillatory_profile(ts, d, 1, sc.eta, full_line=True,
                                                      absolute=True),
-                      tau, tol, (8, 16, 32, 64))
+                      tau, tol)

@@ -16,7 +16,6 @@ from oscillab.poly import Polynomial, circle_zeros, parse
 from oscillab import quad
 from oscillab.rlct import BlowupChart, blowup_charts
 from oscillab.quad import (
-    DEFAULT_MAX_PANELS,
     OscillatorySample,
     QuadratureBudgetError,
     chart_parity_integral,
@@ -37,7 +36,7 @@ ETA = make_cutoff(1.0, 2.0)
 def _tensor(f, phi, tau, tol):
     """The tensor route alone: ``eval_oscillatory`` sends homogeneous n = 2
     phases with radial amplitudes to ``radial_reduce``."""
-    return quad._tensor_oscillatory(f, phi, [tau], tol, DEFAULT_MAX_PANELS)[0]
+    return quad._tensor_oscillatory(f, phi, [tau], tol)[0]
 
 
 # -- closed-form leading coefficient -------------------------------------------
@@ -378,10 +377,11 @@ def test_radial_reduce_at_circle_zeros_agrees_with_tensor_quadrature(phase, tau)
 def test_radial_reduce_makes_one_half_circle_profile_call_per_level(monkeypatch):
     f = parse("x1^4 - 6*x1^2*x2^2 + x2^4", 2)
     z0 = circle_zeros(f)[0]
-    rules, sizes, cut_rule = [], [], quad._cut_rule
+    levels, rules, sizes, cut_rule = [], [], [], quad._cut_rule
 
-    def recording_rule(*args):
-        rules.append(cut_rule(*args))
+    def recording_rule(cuts, zero, tau, m):
+        levels.append(m)
+        rules.append(cut_rule(cuts, zero, tau, m))
         return rules[-1]
 
     def counting(ts, *args, **kwargs):
@@ -393,6 +393,7 @@ def test_radial_reduce_makes_one_half_circle_profile_call_per_level(monkeypatch)
     phi = TestFunction(nu=(0, 0), cutoff=ETA, shape="radial")
     s = radial_reduce(f, phi, 1e2, tol=1e-10)
     assert s.converged and len(sizes) >= 2
+    assert levels == list(quad._ANGLE_LEVELS[:len(levels)])
     assert sizes == [len(nodes) for nodes, _ in rules]
     for nodes, _ in rules:
         assert z0 <= nodes.min() and nodes.max() < z0 + pi
@@ -476,18 +477,19 @@ def test_series_rejects_a_negative_tau_before_any_work(monkeypatch, phase, shape
         eval_oscillatory_series(parse(phase, 2), phi, [10.0, 100.0, -1.0])
 
 
-def test_series_raises_the_axis_budget_error():
+def test_series_raises_the_axis_budget_error(monkeypatch):
+    monkeypatch.setattr(quad, "DEFAULT_MAX_PANELS", 64)
     phi = TestFunction(nu=(0,), cutoff=ETA)
     with pytest.raises(QuadratureBudgetError, match="axis grid needs"):
-        eval_oscillatory_series(parse("x1^2 + x1", 1), phi, [1.0, 1.0e9], tol=1e-10,
-                                max_panels=64)
+        eval_oscillatory_series(parse("x1^2 + x1", 1), phi, [1.0, 1.0e9], tol=1e-10)
 
 
-def test_budget_error():
+def test_budget_error(monkeypatch):
+    monkeypatch.setattr(quad, "DEFAULT_MAX_PANELS", 64)
     f = parse("x1^2 + x1", 1)
     phi = TestFunction(nu=(0,), cutoff=ETA)
     with pytest.raises(QuadratureBudgetError):
-        eval_oscillatory(f, phi, 1.0e9, tol=1e-10, max_panels=64)
+        eval_oscillatory(f, phi, 1.0e9, tol=1e-10)
 
 
 def test_tensor_budget_is_checked_before_any_evaluation(monkeypatch):
@@ -765,8 +767,9 @@ def test_homogeneous_radial_phases_in_n2_never_reach_the_tensor_grid(monkeypatch
     monkeypatch.setattr(quad, "_tensor_oscillatory", no_tensor)
     f = parse("x1^4 + x1^2*x2^2 + x2^4", 2)
     phi = TestFunction(nu=(0, 0), cutoff=ETA, shape="radial")
-    # far past the tensor budget; max_panels does not apply on this route
-    assert eval_oscillatory(f, phi, 1e4, tol=1e-10, max_panels=1).converged
+    # far past the tensor budget; no panel budget applies on this route
+    monkeypatch.setattr(quad, "DEFAULT_MAX_PANELS", 1)
+    assert eval_oscillatory(f, phi, 1e4, tol=1e-10).converged
     assert all(s.converged for s in eval_oscillatory_series(f, phi, [0.0, 1e2, 1e4]))
     # a sample the radial route does not converge is returned as it is
     stuck = OscillatorySample(10.0, 1j, 1.0, False)
@@ -797,6 +800,64 @@ def test_radial_reduce_validation():
     with pytest.raises(ValueError, match="n = 2 only"):  # no sphere rule
         radial_reduce(parse("x1^2 + x2^2 + x3^2", 3),
                       TestFunction(nu=(0, 0, 0), cutoff=ETA, shape="radial"), 10.0)
+
+
+# -- calibration of the radial route on a dense tau grid ----------------------------
+
+RADIAL_PHI = TestFunction(nu=(0, 0), cutoff=ETA, shape="radial")
+RADIAL_TAUS = tuple(map(float, geometric_grid(1e2, 1e4, 60)))
+RADIAL_CALIBRATION = ["x1^4 - x2^4", "x1^4 - 6*x1^2*x2^2 + x2^4", "x1^3 + x2^3",
+                      "x1^2 - x2^2", "x1^6 - x2^6 + x1^3*x2^3", "x1^4 + x2^4"]
+# exact I(tau) and the least tau where the cutoff's O(tau^-inf) remainder is
+# below 1e-13: pi / tau for the quadratic form, C tau^(-n/d) with the sphere
+# constant C of the homogeneous phases (computed by mpmath at 30 digits)
+RADIAL_EXACT = {"x1^2 - x2^2": (lambda tau: pi / tau, 300.0),
+                "x1^4 - 6*x1^2*x2^2 + x2^4": (lambda tau: 3.2862618016492 * tau**-0.5, 100.0),
+                "x1^6 - x2^6 + x1^3*x2^3": (lambda tau: 3.3995403417487 * tau ** (-1 / 3), 100.0)}
+# (phase, tol, index of tau) -> |value - reference| / estimate: levels m = 8 and
+# 16 of the cut rule carry about the same error near the zeros of cos 2 theta,
+# so their difference reads below it
+RADIAL_UNDERCOVER = {("x1^2 - x2^2", 1e-8, 34): 1.45,   # tau 1420.8
+                     ("x1^2 - x2^2", 1e-8, 50): 1.07,   # tau 4953.5
+                     ("x1^2 - x2^2", 1e-10, 50): 1.07}
+
+
+@lru_cache(maxsize=None)
+def _radial_reference(phase):
+    return tuple(radial_reduce(parse(phase, 2), RADIAL_PHI, tau, tol=1e-13) for tau in RADIAL_TAUS)
+
+
+def _assert_radial_covers(phase, tol, k):
+    s = radial_reduce(parse(phase, 2), RADIAL_PHI, RADIAL_TAUS[k], tol=tol)
+    assert s.converged
+    assert abs(s.value - _radial_reference(phase)[k].value) <= s.error_estimate, RADIAL_TAUS[k]
+
+
+@pytest.mark.parametrize("phase", sorted(RADIAL_EXACT))
+def test_radial_calibration_reference_matches_exact_values(phase):
+    exact, tau_min = RADIAL_EXACT[phase]
+    refs = _radial_reference(phase)
+    assert all(r.converged for r in refs)
+    for tau, r in zip(RADIAL_TAUS, refs):
+        if tau >= tau_min:
+            assert abs(r.value - exact(tau)) <= 1e-13, tau
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("phase", RADIAL_CALIBRATION)
+def test_radial_estimate_covers_the_reference_on_a_dense_tau_grid(phase, tol):
+    # a ladder with a level m = 4 stops the quartics on levels 4 and 8 that
+    # agree by accident: true / estimate 13.6 at tau 5355.7
+    for k in range(len(RADIAL_TAUS)):
+        if (phase, tol, k) not in RADIAL_UNDERCOVER:
+            _assert_radial_covers(phase, tol, k)
+
+
+@pytest.mark.parametrize("phase,tol,k", [
+    pytest.param(*case, marks=pytest.mark.xfail(strict=True, reason=f"true / estimate {ratio}"))
+    for case, ratio in RADIAL_UNDERCOVER.items()])
+def test_radial_estimate_undercovers_on_x1sq_minus_x2sq(phase, tol, k):
+    _assert_radial_covers(phase, tol, k)
 
 
 # -- calibration of the tensor route against references that share no grid with it --
@@ -955,4 +1016,4 @@ def test_chart_sum_of_a_shared_even_h_makes_one_half_rule_profile_call_per_level
     monkeypatch.setattr(quad, "oscillatory_profile", counting)
     chart = chart_parity_integral(blowup_charts(parse("x1^4 + x2^4", 2)), SC, 1e2, tol=1e-10)
     assert chart.converged
-    assert sizes == [8 * m for m in (8, 16, 32, 64)[:len(sizes)]] and len(sizes) >= 2
+    assert sizes == [8 * m for m in quad._ANGLE_LEVELS[:len(sizes)]] and len(sizes) >= 2
