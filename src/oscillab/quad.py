@@ -28,7 +28,8 @@
 
 ``chart_parity_integral`` sums the n = 2 blowup-chart integrals of one
 phase.  It and ``radial_reduce`` are thin callers of one angular level loop,
-``_angle_sum``, on ``_cut_rule``: each level is one profile call.  The
+``_angle_sum``, on ``_cut_rule`` and one ladder of levels, ``_ANGLE_LEVELS``:
+each level is one profile call.  The
 radial route folds the circle onto a half circle by theta -> theta + pi;
 the chart sum lets charts whose h agree up to sign share one profile array,
 and integrates an even h over v > 0 and doubles it.
@@ -61,7 +62,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, product, takewhile
 from math import ceil, comb, gamma, pi, prod
 from typing import List
 
@@ -836,7 +837,7 @@ def _axis_filon(p: Polynomial, power: int, eta: CutoffFunction, tau: float, tol:
             total += np.exp(1j * tau * seg.p0) * part
         return (2.0 * total, 2.0 * _ROUNDOFF * size) if even else (total, _ROUNDOFF * size)
 
-    fits = (plan for plan in chain((first, second), plans) if panels(plan) <= DEFAULT_MAX_PANELS)
+    fits = takewhile(lambda plan: panels(plan) <= DEFAULT_MAX_PANELS, chain((first, second), plans))
     return _refine(map(value, fits), tol)
 
 

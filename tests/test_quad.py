@@ -1,3 +1,4 @@
+import cmath
 import os
 import signal
 import time
@@ -31,6 +32,7 @@ from oscillab.quad import (
 )
 
 ETA = make_cutoff(1.0, 2.0)
+SC = SymmetricCutoff(n=2, eps=0.25, eta=ETA)
 
 
 def _tensor(f, phi, tau, tol):
@@ -802,62 +804,80 @@ def test_radial_reduce_validation():
                       TestFunction(nu=(0, 0, 0), cutoff=ETA, shape="radial"), 10.0)
 
 
-# -- calibration of the radial route on a dense tau grid ----------------------------
+# -- calibration of the angular routes on a dense tau grid --------------------------
 
 RADIAL_PHI = TestFunction(nu=(0, 0), cutoff=ETA, shape="radial")
-RADIAL_TAUS = tuple(map(float, geometric_grid(1e2, 1e4, 60)))
-RADIAL_CALIBRATION = ["x1^4 - x2^4", "x1^4 - 6*x1^2*x2^2 + x2^4", "x1^3 + x2^3",
-                      "x1^2 - x2^2", "x1^6 - x2^6 + x1^3*x2^3", "x1^4 + x2^4"]
+DENSE_TAUS = tuple(map(float, geometric_grid(1e2, 1e4, 60)))
+DENSE_PHASES = ["x1^4 - x2^4", "x1^4 - 6*x1^2*x2^2 + x2^4", "x1^3 + x2^3",
+                "x1^2 - x2^2", "x1^6 - x2^6 + x1^3*x2^3", "x1^4 + x2^4"]
 # exact I(tau) and the least tau where the cutoff's O(tau^-inf) remainder is
-# below 1e-13: pi / tau for the quadratic form, C tau^(-n/d) with the sphere
-# constant C of the homogeneous phases (computed by mpmath at 30 digits)
-RADIAL_EXACT = {"x1^2 - x2^2": (lambda tau: pi / tau, 300.0),
-                "x1^4 - 6*x1^2*x2^2 + x2^4": (lambda tau: 3.2862618016492 * tau**-0.5, 100.0),
-                "x1^6 - x2^6 + x1^3*x2^3": (lambda tau: 3.3995403417487 * tau ** (-1 / 3), 100.0)}
-# (phase, tol, index of tau) -> |value - reference| / estimate: levels m = 8 and
-# 16 of the cut rule carry about the same error near the zeros of cos 2 theta,
-# so their difference reads below it
-RADIAL_UNDERCOVER = {("x1^2 - x2^2", 1e-8, 34): 1.45,   # tau 1420.8
-                     ("x1^2 - x2^2", 1e-8, 50): 1.07,   # tau 4953.5
-                     ("x1^2 - x2^2", 1e-10, 50): 1.07}
+# below 1e-13 on both routes: the radial cutoff and SC are 1 near 0, the only
+# critical point of these phases.  pi / tau for the quadratic form, C tau^(-n/d)
+# with the sphere constant C of the homogeneous phases (computed by mpmath at 30
+# digits).  x1^4 + x2^4 = (3 + cos 4 theta) / 4 has no zero on the circle, so its
+# tol 1e-8 and 1e-13 runs stop on the same level and only this oracle checks it;
+# its C = e^{i pi / 4} sqrt(pi) K(1/2) has the modulus of the cos 4 theta one.
+DENSE_EXACT = {"x1^2 - x2^2": (lambda tau: pi / tau, 300.0),
+               "x1^4 - 6*x1^2*x2^2 + x2^4": (lambda tau: 3.2862618016492 * tau**-0.5, 100.0),
+               "x1^4 + x2^4": (lambda tau: 3.2862618016492 * cmath.exp(0.25j * pi) * tau**-0.5,
+                               200.0),
+               "x1^6 - x2^6 + x1^3*x2^3": (lambda tau: 3.3995403417487 * tau ** (-1 / 3), 100.0)}
+# (route, phase, tol, index of tau) -> |value - reference| / estimate: levels
+# m = 8 and 16 of the cut rule carry about the same error near the zeros of
+# cos 2 theta, so their difference reads below it
+DENSE_UNDERCOVER = {("radial", "x1^2 - x2^2", 1e-8, 34): 1.45,   # tau 1420.8
+                    ("radial", "x1^2 - x2^2", 1e-8, 50): 1.07,   # tau 4953.5
+                    ("radial", "x1^2 - x2^2", 1e-10, 50): 1.07}
 
 
 @lru_cache(maxsize=None)
-def _radial_reference(phase):
-    return tuple(radial_reduce(parse(phase, 2), RADIAL_PHI, tau, tol=1e-13) for tau in RADIAL_TAUS)
+def _dense_route(route, phase):
+    """(tau, tol) -> sample of ``radial_reduce`` or of the chart sum over SC."""
+    f = parse(phase, 2)
+    if route == "radial":
+        return lambda tau, tol: radial_reduce(f, RADIAL_PHI, tau, tol=tol)
+    charts = blowup_charts(f)
+    return lambda tau, tol: chart_parity_integral(charts, SC, tau, tol=tol)
 
 
-def _assert_radial_covers(phase, tol, k):
-    s = radial_reduce(parse(phase, 2), RADIAL_PHI, RADIAL_TAUS[k], tol=tol)
+@lru_cache(maxsize=None)
+def _dense_reference(route, phase):
+    return tuple(_dense_route(route, phase)(tau, 1e-13) for tau in DENSE_TAUS)
+
+
+def _assert_covers(route, phase, tol, k):
+    s = _dense_route(route, phase)(DENSE_TAUS[k], tol)
     assert s.converged
-    assert abs(s.value - _radial_reference(phase)[k].value) <= s.error_estimate, RADIAL_TAUS[k]
+    assert abs(s.value - _dense_reference(route, phase)[k].value) <= s.error_estimate, DENSE_TAUS[k]
 
 
-@pytest.mark.parametrize("phase", sorted(RADIAL_EXACT))
-def test_radial_calibration_reference_matches_exact_values(phase):
-    exact, tau_min = RADIAL_EXACT[phase]
-    refs = _radial_reference(phase)
+@pytest.mark.parametrize("phase", sorted(DENSE_EXACT))
+@pytest.mark.parametrize("route", ["radial", "chart"])
+def test_dense_tau_reference_matches_exact_values(route, phase):
+    exact, tau_min = DENSE_EXACT[phase]
+    refs = _dense_reference(route, phase)
     assert all(r.converged for r in refs)
-    for tau, r in zip(RADIAL_TAUS, refs):
+    for tau, r in zip(DENSE_TAUS, refs):
         if tau >= tau_min:
             assert abs(r.value - exact(tau)) <= 1e-13, tau
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
-@pytest.mark.parametrize("phase", RADIAL_CALIBRATION)
-def test_radial_estimate_covers_the_reference_on_a_dense_tau_grid(phase, tol):
-    # a ladder with a level m = 4 stops the quartics on levels 4 and 8 that
-    # agree by accident: true / estimate 13.6 at tau 5355.7
-    for k in range(len(RADIAL_TAUS)):
-        if (phase, tol, k) not in RADIAL_UNDERCOVER:
-            _assert_radial_covers(phase, tol, k)
+@pytest.mark.parametrize("phase", DENSE_PHASES)
+@pytest.mark.parametrize("route", ["radial", "chart"])
+def test_estimate_covers_the_reference_on_a_dense_tau_grid(route, phase, tol):
+    # a radial ladder with a level m = 4 stops the quartics on levels 4 and 8
+    # that agree by accident: true / estimate 13.6 at tau 5355.7
+    for k in range(len(DENSE_TAUS)):
+        if (route, phase, tol, k) not in DENSE_UNDERCOVER:
+            _assert_covers(route, phase, tol, k)
 
 
-@pytest.mark.parametrize("phase,tol,k", [
+@pytest.mark.parametrize("route,phase,tol,k", [
     pytest.param(*case, marks=pytest.mark.xfail(strict=True, reason=f"true / estimate {ratio}"))
-    for case, ratio in RADIAL_UNDERCOVER.items()])
-def test_radial_estimate_undercovers_on_x1sq_minus_x2sq(phase, tol, k):
-    _assert_radial_covers(phase, tol, k)
+    for case, ratio in DENSE_UNDERCOVER.items()])
+def test_radial_estimate_undercovers_on_x1sq_minus_x2sq(route, phase, tol, k):
+    _assert_covers(route, phase, tol, k)
 
 
 # -- calibration of the tensor route against references that share no grid with it --
@@ -962,7 +982,6 @@ def test_tensor_levels_raise_the_order_on_one_grid_per_tau(monkeypatch):
 # -- blowup-chart integrals -----------------------------------------------------
 
 
-SC = SymmetricCutoff(n=2, eps=0.25, eta=ETA)
 
 
 def test_chart_parity_validation():
