@@ -221,7 +221,6 @@ class Theorem3Report:
             "gamma": str(self.gamma),
             "gamma_float": float(self.gamma),
             "candidate_exponent": -float(self.gamma),
-            "next_exponent_reference": -(self.n + 1) / self.d,
             "hypothesis_checks": dict(sorted(self.hypothesis_checks.items())),
             "symmetric_fit": self.symmetric_fit,
             "generic_fit": self.generic_fit,
@@ -236,14 +235,6 @@ class Theorem3Report:
                 "quadrature": self.config.get("tol"),
             },
         }
-
-
-def _verdict_from_classification(cls: str, when_zero: str, when_nonzero: str) -> str:
-    if cls == "zero":
-        return when_zero
-    if cls == "nonzero":
-        return when_nonzero
-    return "indeterminate"
 
 
 def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Report:
@@ -336,7 +327,8 @@ def run_theorem3_lab(f, config: Optional[ExperimentConfig] = None) -> Theorem3Re
         "strict_exponent_gap",
         f"the coefficient at tau^({alpha}) vanishes for the blowup-symmetric "
         "cutoff in the measure convention (claim under test, not asserted)",
-        _verdict_from_classification(sym_probe0["classification"], "supports", "contradicts"),
+        {"zero": "supports", "nonzero": "contradicts"}.get(sym_probe0["classification"],
+                                                         "indeterminate"),
         {
             "coeff": sym_probe0["coeff"],
             "noise": sym_probe0["noise"],

@@ -218,11 +218,6 @@ class BoundReport:
     passed: Optional[bool]             # None = indeterminate (unconverged fit)
 
 
-def amplitude_polytope(phi: TestFunction):
-    """Newton polytope of x^nu * bump: the bump is 1 near 0, so it is nu + orthant."""
-    return build_polytope([phi.nu])
-
-
 def check_theorem2(
     f: Polynomial,
     phi: TestFunction,
@@ -238,7 +233,8 @@ def check_theorem2(
     ok, _ = is_convenient(pf)
     if not ok:
         raise ValueError("the bound requires a convenient phase")
-    d_pair, r, rp = pair_distance_and_radii(pf, amplitude_polytope(phi))
+    # x^nu * bump has the Newton polytope nu + orthant: the bump is 1 near 0
+    d_pair, r, rp = pair_distance_and_radii(pf, build_polytope([phi.nu]))
     bound1 = -1 / d_pair
     bound2 = -Fraction(rp + f.n, 1) / r
     est = fit_leading(samples, n_ambient=f.n)

@@ -140,14 +140,18 @@ def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b)[:, 0]
 
 
-def _composite(edges: np.ndarray, order: int):
-    """Composite Gauss-Legendre nodes and weights on the panels of ``edges``, flattened."""
+def _panel_nodes(mid: np.ndarray, half: np.ndarray, order: int):
+    """Gauss-Legendre nodes and weights on the panels mid +- half, flattened."""
     x, w = _gl(order)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    nodes = ((0.5 * (hi + lo))[:, None] + half[:, None] * x[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def _composite(edges: np.ndarray, order: int):
+    """Composite Gauss-Legendre nodes and weights on the panels of ``edges``, flattened."""
+    lo, hi = edges[:-1], edges[1:]
+    return _panel_nodes(0.5 * (hi + lo), 0.5 * (hi - lo), order)
 
 
 def _cut_rule(cuts: tuple, zero: tuple, tau: float, m: int):
@@ -287,21 +291,22 @@ def oscillatory_profile_reference(
 # [a^d, b^d] is integrated with Legendre interpolation per panel and exact
 # oscillatory moments M_k(theta) = int_{-1}^1 e^{i theta s} P_k(s) ds
 # = 2 i^k j_k(theta) (spherical Bessel).  The moments depend on a panel only
-# through its half-width, so they are evaluated once per t for each distinct
-# width (one per graded layer and one for the uniform rest of a profile
-# grid) and contracted with the panels' phase factors t by t (``_rowwise``),
-# so that no value depends on the other t of its batch.  They are computed
+# through its half-width.  Every Filon grid is built by ``_filon_runs`` as
+# runs of panels of one exact width each (a graded layer, or the uniform
+# rest), so the moments are evaluated once per t for each run and contracted
+# with the run's phase factors t by t (``_rowwise``), so that no value
+# depends on the other t of its batch.  They are computed
 # without scipy: a 40-point Gauss rule for theta <= 16, upward recurrence
 # from j_0 and j_1 above it, where k < theta keeps the recurrence stable
 # (DLMF 10.51.1).
-# The t-independent part of each level (its edges, the Legendre coefficients
+# The t-independent part of each level (its runs, the Legendre coefficients
 # of the integrand and its absolute integral) is cached per (d, npow, eta, m).
 # ---------------------------------------------------------------------------
 
 _FILON_ORDER = 12
 _MOMENT_SWITCH = 16.0  # upward recurrence above it needs _FILON_ORDER <= 16
 _MOMENT_NODES = 40
-_MOMENT_BLOCK = 1 << 14  # (t, panel) pairs per block of phases and of per-panel moments
+_MOMENT_BLOCK = 1 << 14  # (t, panel) pairs per block of phase factors
 _HEAD_PHASE = 40.0  # phase run below which a head is integrated in y or x space
 _LEVELS = (48, 96, 192, 384, 768)  # Filon panels per grid, doubled level by level
 _ROUNDOFF = 4 * np.finfo(float).eps  # error floor per unit of absolute integrand sum
@@ -355,26 +360,6 @@ def _legendre_moments(theta: np.ndarray, order: int) -> np.ndarray:
     return out.reshape(theta.shape + (order,))
 
 
-def _width_groups(half: np.ndarray, scale: float):
-    """Group panel half-widths that agree to a few ulps of the edge scale.
-
-    Widths of one ``np.linspace`` differ only in their last bits; graded
-    widths differ by far more than the tolerance and stay apart.  Returns the
-    group widths (member means), the group label of every panel and the group
-    sizes.
-    """
-    order = np.argsort(half, kind="stable")
-    hs = half[order]
-    starts = np.ones(len(hs), dtype=bool)
-    starts[1:] = np.diff(hs) > 8.0 * np.finfo(float).eps * scale
-    first = np.flatnonzero(starts)
-    counts = np.diff(np.append(first, len(hs)))
-    widths = np.add.reduceat(hs, first) / counts
-    labels = np.empty(len(hs), dtype=int)
-    labels[order] = np.cumsum(starts) - 1
-    return widths, labels, counts
-
-
 def _split(a: np.ndarray):
     """Veltkamp's split a = hi + lo, each half with at most 26 significant bits."""
     c = 134217729.0 * a  # 2^27 + 1
@@ -382,57 +367,85 @@ def _split(a: np.ndarray):
     return hi, a - hi
 
 
-def _phase(ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """e^{i t x} for every t of ``ts`` (rows) and x of ``xs`` (columns).
+def _phase(ts: np.ndarray, xs: np.ndarray, xs_lo: np.ndarray) -> np.ndarray:
+    """e^{i t (x + x_lo)} for every t of ``ts`` (rows) and x of ``xs`` (columns).
 
     The product t x is rounded once, which moves the phase by up to an ulp
     of t x: 5e-13 at t x = 5000, far above the profile's roundoff floor.
     Dekker's two-product gives that rounding error exactly, and it is put
-    back into the phase.
+    back into the phase, with t x_lo.
     """
     p = np.outer(ts, xs)
     (th, tl), (xh, xl) = _split(ts), _split(xs)
     err = ((np.outer(th, xh) - p) + np.outer(th, xl) + np.outer(tl, xh)) + np.outer(tl, xl)
+    err += np.outer(ts, xs_lo)
     out = np.exp(1j * p)
     out *= 1.0 + 1j * err
     return out
 
 
-def _filon_moment_sum(ts: np.ndarray, edges: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum over panels of h e^{itm} * sum_k coeffs[p,k] M_k(t h)."""
+def _filon_runs(u0: float, u1: float, m: int):
+    """The panels of the Filon level m on [u0, u1], as runs (start, half width, count).
+
+    The grid is graded geometrically from u0, where the integrand may be
+    singular to the left of the grid: layers [u, 2u] of m / 12 panels each,
+    up to where those panels would be as wide as the m uniform panels of
+    [u0, u1]; uniform panels cover the rest.  Every panel of a run has the
+    run's exact width, so the run shares one set of moments (Iserles and
+    Norsett, Proc. R. Soc. A 461, 2005).
+    """
+    k, width = m // 12, (u1 - u0) / m
+    runs = []
+    while u0 < k * width and 2.0 * u0 < u1:
+        runs.append((u0, 0.5 * u0 / k, k))
+        u0 *= 2.0
+    count = ceil((u1 - u0) / width)
+    return tuple(runs) + ((u0, 0.5 * (u1 - u0) / count, count),)
+
+
+def _run_panels(runs):
+    """Midpoints s + (2j + 1) h of the panels of ``runs`` as mid + lo, and their half widths.
+
+    lo is the rounding error of mid (Dekker's two-product and Knuth's
+    two-sum, exact while a run has fewer than 2^25 panels).  The rounded
+    midpoints leave gaps and overlaps of an ulp between panels; their sum
+    over hundreds of panels put 2e-15 into profile values at t = 4e4, and
+    the phase factors of mid + lo remove it.
+    """
+    starts, halves, counts = map(np.array, zip(*runs))
+    s, h = np.repeat(starts, counts), np.repeat(halves, counts)
+    k = 2.0 * (np.arange(len(s)) - np.repeat(np.cumsum(counts) - counts, counts)) + 1.0
+    p = h * k
+    (hh, hl), mid = _split(h), s + p
+    b = mid - s
+    return mid, ((hh * k - p) + hl * k) + ((s - (mid - b)) + (p - b)), h
+
+
+def _filon_moment_sum(ts: np.ndarray, runs, coeffs: np.ndarray) -> np.ndarray:
+    """sum over panels of h e^{itm} * sum_k coeffs[p,k] M_k(t h), over the panels of ``runs``."""
     order = coeffs.shape[1]
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    widths, labels, counts = _width_groups(half, float(np.max(np.abs(edges))))
-    # panels sorted by group, so that every shared width contracts one column
-    # slice of the phase matrix
-    by_group = np.argsort(labels, kind="stable")
-    half, mid, coeffs, labels = half[by_group], mid[by_group], coeffs[by_group], labels[by_group]
-    ends = np.cumsum(counts)
-    shared = [(widths[g], slice(ends[g] - counts[g], ends[g])) for g in np.flatnonzero(counts > 1)]
-    lone = np.flatnonzero(counts[labels] == 1)
-    out = np.zeros(len(ts), dtype=complex)
-    chunk = max(1, _MOMENT_BLOCK // len(half))
+    mid, lo, _ = _run_panels(runs)
+    widths = np.array([h for _, h, _ in runs])
+    ends = np.cumsum([c for *_, c in runs])
+    cols = [slice(hi - c, hi) for (*_, c), hi in zip(runs, ends)]
+    out = np.empty(len(ts), dtype=complex)
+    chunk = max(1, _MOMENT_BLOCK // len(mid))
     for i in range(0, len(ts), chunk):
         tc = ts[i : i + chunk]
-        E = _phase(tc, mid)
-        E *= half
+        E = _phase(tc, mid, lo)
+        # one call for every run width; h M_k(t h) is the panel's moment times its Jacobian
+        M = _legendre_moments(np.outer(tc, widths), order) * widths[:, None]
         acc = np.zeros(len(tc), dtype=complex)
-        for width, cols in shared:
-            M = _legendre_moments(tc * width, order)
-            acc += np.sum(M * _rowwise(E[:, cols], coeffs[cols]), axis=1)
-        block = max(1, _MOMENT_BLOCK // chunk)  # not len(tc): no t sees the batch size
-        for j in range(0, len(lone), block):
-            p = lone[j : j + block]
-            M = _legendre_moments(np.outer(tc, half[p]), order)
-            acc += np.sum(E[:, p] * np.einsum("tpk,pk->tp", M, coeffs[p]), axis=1)
+        for r, run in enumerate(cols):
+            acc += np.sum(M[:, r] * _rowwise(E[:, run], coeffs[run]), axis=1)
         out[i : i + chunk] = acc
     return out
 
 
-def _filon_coefficients(edges: np.ndarray, gfun):
-    """Legendre coefficients of g on every panel of ``edges``, and int |g| du."""
-    nodes, weights = _composite(edges, _FILON_ORDER)
+def _filon_coefficients(runs, gfun):
+    """Legendre coefficients of g on every panel of ``runs``, and int |g| du."""
+    mid, _, half = _run_panels(runs)
+    nodes, weights = _panel_nodes(mid, half, _FILON_ORDER)
     g = gfun(nodes)
     coeffs = g.reshape(-1, _FILON_ORDER) @ _filon_projection(_FILON_ORDER).T
     return coeffs, float(np.dot(np.abs(g), weights))
@@ -472,26 +485,16 @@ def _oscillatory_head(ts: np.ndarray, d: int, npow: int, a: float) -> np.ndarray
 def _profile_level(d: int, npow: int, eta: CutoffFunction, m: int):
     """The t-independent part of a Filon level of the half-line profile, read-only.
 
-    Returns the panel edges of level m on [a^d, b^d] in u = y^d, the Legendre
-    coefficients of g(u) = u^{c-1} eta(u^{1/d}) / d on every panel
+    Returns the ``_filon_runs`` of level m on [a^d, b^d] in u = y^d, the
+    Legendre coefficients of g(u) = u^{c-1} eta(u^{1/d}) / d on every panel
     (c = (npow+1)/d), and int |g| du.  Unless c is an integer, g is singular
-    at u = 0, a^d to the left of the grid.  So the grid is graded
-    geometrically from a^d: layers [u, 2u] of m / 12 equal panels each, up to
-    where those panels would be as wide as the m uniform panels that cover
-    the rest.  Each layer has one panel width, so its moments are shared
-    (Iserles and Norsett, Proc. R. Soc. A 461, 2005).
+    at u = 0, a^d to the left of the grid, which the runs are graded toward.
     """
     c = (npow + 1) / d
-    u0, u1 = eta.a**d, eta.b**d
-    k, width = m // 12, (u1 - u0) / m
-    layers = []
-    while u0 < k * width and 2.0 * u0 < u1:
-        layers.append(np.linspace(u0, 2.0 * u0, k + 1)[:-1])
-        u0 *= 2.0
-    edges = np.concatenate(layers + [np.linspace(u0, u1, ceil((u1 - u0) / width) + 1)])
-    coeffs, size = _filon_coefficients(edges, lambda u: u ** (c - 1.0) / d * eta(u ** (1.0 / d)))
-    edges.flags.writeable = coeffs.flags.writeable = False
-    return edges, coeffs, size
+    runs = _filon_runs(eta.a**d, eta.b**d, m)
+    coeffs, size = _filon_coefficients(runs, lambda u: u ** (c - 1.0) / d * eta(u ** (1.0 / d)))
+    coeffs.flags.writeable = False
+    return runs, coeffs, size
 
 
 def _halfline_profile(ts: np.ndarray, d: int, npow: int, eta: CutoffFunction):
@@ -512,8 +515,8 @@ def _halfline_profile(ts: np.ndarray, d: int, npow: int, eta: CutoffFunction):
     for m in _LEVELS:
         if not len(todo):
             break
-        edges, coeffs, size = _profile_level(d, npow, eta, m)
-        value = head[todo] + _filon_moment_sum(ts[todo], edges, coeffs)
+        runs, coeffs, size = _profile_level(d, npow, eta, m)
+        value = head[todo] + _filon_moment_sum(ts[todo], runs, coeffs)
         if prev is not None:
             floor = _ROUNDOFF * (size + head_size)
             vals[todo], errs[todo] = value, np.abs(value - prev) + floor
@@ -696,9 +699,9 @@ def oscillatory_profile(
 #   e^{i tau p(x0)} int e^{+-i tau w} G(w) dw,   G = g(x(w)) / |p'(x(w))|,
 # with g = x^power eta.  G blows up like w^{1/k - 1} at a critical point of
 # order k, so the head tau w <= _HEAD_PHASE is integrated in x space; the
-# rest goes to the Filon evaluator on geometric panels away from the head,
-# united with uniform panels.  A decreasing piece is the conjugate of an
-# increasing one, and an even p needs only [0, b].
+# rest goes to the Filon evaluator on the ``_filon_runs`` of [delta, q(length)],
+# graded toward the head like the profile's grid toward a^d.  A decreasing
+# piece is the conjugate of an increasing one, and an even p needs only [0, b].
 # ---------------------------------------------------------------------------
 
 
@@ -796,17 +799,13 @@ def _axis_filon(p: Polynomial, power: int, eta: CutoffFunction, tau: float, tol:
              for seg in segments]
 
     def grids(m):
-        out = []
-        for seg, head in zip(segments, heads):
-            tail = None
-            if delta < seg.rise:
-                tail = np.union1d(delta * (seg.rise / delta) ** np.linspace(0.0, 1.0, m + 1),
-                                  np.linspace(delta, seg.rise, m + 1))
-            out.append((np.linspace(0.0, head, m // 3 + 1), tail))
-        return out
+        # per segment: the head's m / 3 uniform panels and the tail's runs, if any
+        return [(((0.0, 0.5 * head / (m // 3), m // 3),),
+                 _filon_runs(delta, seg.rise, m) if delta < seg.rise else ())
+                for seg, head in zip(segments, heads)]
 
     def panels(plan):
-        return sum(len(h) - 1 + (0 if t is None else len(t) - 1) for h, t in plan)
+        return sum(count for runs in chain.from_iterable(plan) for *_, count in runs)
 
     plans = map(grids, _LEVELS)  # each built when ``_refine`` asks for its level
     first, second = next(plans), next(plans)
@@ -817,11 +816,12 @@ def _axis_filon(p: Polynomial, power: int, eta: CutoffFunction, tau: float, tol:
     def value(plan):
         total, size = 0j, 0.0
         for seg, (head, tail) in zip(segments, plan):
-            s, wt = _composite(head, 24)
+            mid, _, half = _run_panels(head)
+            s, wt = _panel_nodes(mid, half, 24)
             g = amp(seg.x0 + seg.direction * s)
             part = np.dot(np.exp(1j * tau * seg.sign * polyval(s, seg.q)) * g, wt)
             size += float(np.dot(np.abs(g), wt))
-            if tail is not None:
+            if tail:
 
                 def G(w, seg=seg):
                     s = _invert(seg.q, w, seg.length)

@@ -186,7 +186,8 @@ def test_lab_json_export_round_trip(lab_report):
     payload = json.loads(text)
     assert payload["kind"] == "theorem3-lab"
     assert payload["gamma"] == "1"
-    assert payload["next_exponent_reference"] == -1.5
+    # the amplitudes are 1 near 0, so I(tau) has no -(n+1)/d term to name
+    assert "next_exponent_reference" not in payload
     assert len(payload["series"]["generic"]) == CHEAP_LAB.tau_count
     # deterministic: exporting twice is byte-identical
     assert text == export_report(lab_report, "json")

@@ -1,5 +1,6 @@
 import cmath
 import os
+import re
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -104,16 +105,16 @@ def test_filon_phase_factors_keep_the_rounding_error_of_t_times_u():
     mp = pytest.importorskip("mpmath").mp
     ts = np.array([4999.9, 5000.0 / 3.0, 12345.678])
     us = np.array([0.1, 1.0 / 7.0, 0.937])
-    E = quad._phase(ts, us)
+    E = quad._phase(ts, us, np.zeros(len(us)))
     with mp.workdps(40):
         exact = np.array([[complex(mp.expj(mp.mpf(t) * mp.mpf(u))) for u in us] for t in ts])
     assert np.max(np.abs(E - exact)) <= 4e-16
 
 
-def _per_panel_moment_sum(ts, edges, coeffs):
-    """The moment sum with every panel's moments evaluated on their own."""
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
+def _per_panel_moment_sum(ts, runs, coeffs):
+    """The moment sum with every panel's moments evaluated on their own, by scipy."""
+    mid = np.concatenate([s + h * (2 * np.arange(c) + 1) for s, h, c in runs])
+    half = np.concatenate([np.full(c, h) for _, h, c in runs])
     theta = np.outer(ts, half)
     S = np.zeros(theta.shape, dtype=complex)
     for k in range(coeffs.shape[1]):
@@ -123,21 +124,38 @@ def _per_panel_moment_sum(ts, edges, coeffs):
 
 @pytest.mark.parametrize("grid", ["uniform", "graded", "mixed"])
 def test_grouped_moment_sum_matches_per_panel_formula(grid):
-    graded = 0.5 * np.linspace(0.0, 1.0, 65) ** 3
-    edges = {
-        "uniform": np.linspace(1.0, 16.0, 769),
+    # uniform: one run; graded: cubic, so runs of one panel each; mixed: both
+    edges = 0.5 * np.linspace(0.0, 1.0, 65) ** 3
+    graded = tuple((lo, 0.5 * (hi - lo), 1) for lo, hi in zip(edges, edges[1:]))
+    runs = {
+        "uniform": ((1.0, 7.5 / 768, 768),),
         "graded": graded,
-        "mixed": np.concatenate(
-            [graded[:-1], np.linspace(0.5, 1.0, 33)[:-1], np.linspace(1.0, 16.0, 97)]
-        ),
+        "mixed": graded + ((0.5, 0.25 / 32, 32), (1.0, 7.5 / 96, 96)),
     }[grid]
     rng = np.random.default_rng(7)
-    coeffs = rng.standard_normal((len(edges) - 1, _FILON_ORDER))
+    coeffs = rng.standard_normal((sum(c for *_, c in runs), _FILON_ORDER))
     coeffs *= 0.5 ** np.arange(_FILON_ORDER)
     ts = np.array([0.0, 0.7, 12.0, 150.0, 3000.0])
-    fast = _filon_moment_sum(ts, edges, coeffs)
-    slow = _per_panel_moment_sum(ts, edges, coeffs)
+    fast = _filon_moment_sum(ts, runs, coeffs)
+    slow = _per_panel_moment_sum(ts, runs, coeffs)
     assert np.max(np.abs(fast - slow)) <= 1e-13
+
+
+# (u0, u1) of profile grids (a^d, b^d) and of axis tails (40 / tau, q(length))
+@pytest.mark.parametrize("u0,u1", [(1.0, 16.0), (1.0, 64.0), (0.5**6, 1.0), (0.1**6, 1.0),
+                                   (0.9**4, 1.0), (4e-3, 4.0), (40.0 / 7.3e4, 80.0)])
+@pytest.mark.parametrize("m", quad._LEVELS)
+def test_filon_runs_tile_the_interval(u0, u1, m):
+    runs = quad._filon_runs(u0, u1, m)
+    assert runs[0][0] == u0
+    assert all(h > 0.0 and c >= 1 for _, h, c in runs)
+    ends = [s + 2.0 * h * c for s, h, c in runs]
+    for end, (start, _, _) in zip(ends, runs[1:]):
+        assert abs(end - start) <= np.spacing(start), (end, start)
+    assert abs(ends[-1] - u1) <= np.spacing(u1)
+    # graded layers [u, 2u] of m / 12 panels, then at least m / 2 uniform ones
+    assert all(c == m // 12 and s + 2.0 * h * c == 2.0 * s for s, h, c in runs[:-1])
+    assert runs[-1][2] >= m // 2
 
 
 @pytest.mark.parametrize("absolute", [False, True])
@@ -492,6 +510,31 @@ def test_budget_error(monkeypatch):
     phi = TestFunction(nu=(0,), cutoff=ETA)
     with pytest.raises(QuadratureBudgetError):
         eval_oscillatory(f, phi, 1.0e9, tol=1e-10)
+
+
+@pytest.mark.parametrize("phase,tau", [("x1^2 + x1", 1e9), ("x1 + x1^3", 5355.67),
+                                       ("x1^2 - 1/8*x1^4", 100.0)])
+def test_axis_budget_counts_the_panels_of_its_runs(monkeypatch, phase, tau):
+    built = []
+    filon_runs = quad._filon_runs
+
+    def spy(u0, u1, m):
+        built.append((m, filon_runs(u0, u1, m)))
+        return built[-1][1]
+
+    monkeypatch.setattr(quad, "_filon_runs", spy)
+    monkeypatch.setattr(quad, "DEFAULT_MAX_PANELS", 1)
+    p = parse(phase, 1)
+    with pytest.raises(QuadratureBudgetError, match="axis grid needs") as info:
+        quad._axis_filon(p, 0, ETA, tau, 1e-10)
+    needed = int(re.search(r"needs (\d+) panels", str(info.value)).group(1))
+    # the second level: one head run of m / 3 panels per segment, and the tails' runs
+    m = quad._LEVELS[1]
+    heads = len(quad._axis_segments(p, ETA.support_radius())[1]) * (m // 3)
+    assert built and needed == heads + sum(c for level, runs in built if level == m
+                                           for *_, c in runs)
+    monkeypatch.setattr(quad, "DEFAULT_MAX_PANELS", needed)
+    quad._axis_filon(p, 0, ETA, tau, 1e-10)  # fits exactly
 
 
 def test_tensor_budget_is_checked_before_any_evaluation(monkeypatch):
@@ -878,6 +921,39 @@ def test_estimate_covers_the_reference_on_a_dense_tau_grid(route, phase, tol):
     for case, ratio in DENSE_UNDERCOVER.items()])
 def test_radial_estimate_undercovers_on_x1sq_minus_x2sq(route, phase, tol, k):
     _assert_covers(route, phase, tol, k)
+
+
+# -- calibration of the separable axis route on the same dense tau grid -------------
+
+
+@lru_cache(maxsize=None)
+def _axis_series(phase, nu, tol):
+    phi = TestFunction(nu=(nu,), cutoff=ETA)
+    return tuple(eval_oscillatory_series(parse(phase, 1), phi, DENSE_TAUS, tol=tol))
+
+
+@pytest.mark.parametrize("nu", [0, 2])
+@pytest.mark.parametrize("phase", AXIS_PHASES)
+def test_axis_reference_matches_the_dense_reference(phase, nu):
+    refs = _axis_series(phase, nu, 1e-13)
+    assert all(r.converged for r in refs)
+    for k in (0, -1):  # tau = 1e2 and 1e4
+        dense = _dense_axis_reference(phase, DENSE_TAUS[k])[nu]
+        assert abs(refs[k].value - dense) <= 1e-13, DENSE_TAUS[k]
+
+
+# x1^4 + x1^6, x1^2 - x1^4 and x1^2 + x1^3 stop tol 1e-8, 1e-10 and 1e-13 on the
+# same level at every tau (x1^2 + x1^4 at 50 or 51 of the 60), so |value - reference|
+# reads 0 there and this check proves nothing on them: only the dense check,
+# ``test_multi_term_axis_matches_dense_reference``, covers those phases.
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("nu", [0, 2])
+@pytest.mark.parametrize("phase", AXIS_PHASES)
+def test_axis_estimate_covers_the_reference_on_a_dense_tau_grid(phase, nu, tol):
+    refs = _axis_series(phase, nu, 1e-13)
+    for tau, s, r in zip(DENSE_TAUS, _axis_series(phase, nu, tol), refs):
+        assert s.converged, tau
+        assert abs(s.value - r.value) <= s.error_estimate, tau
 
 
 # -- calibration of the tensor route against references that share no grid with it --
