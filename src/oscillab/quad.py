@@ -87,6 +87,7 @@ _WPP = 2.0  # target wavelengths per panel at order 16
 _BLOCK_NODES = 1 << 17  # most nodes in one block of the tensor grid
 _TENSOR_WPP = 4.0  # wavelengths per panel of the one tensor grid per tau
 _TENSOR_ORDERS = (14, 20, 28, 40)  # Gauss order per panel, level by level, on that grid
+_SERIES_TAIL = 1e-17  # the tensor grid's e^{i tau R} series stops below this majorant tail
 _ANGLE_LEVELS = (8, 16, 32, 64, 128, 256)  # _cut_rule panels m, level by level, of _angle_sum
 # most blocks in flight: 15 * 2^17 nodes stays under the 2,000,000-node chunks
 # that the tensor grid was evaluated in before blocks, on any number of CPUs
@@ -956,16 +957,18 @@ def _tensor_grids(f: Polynomial, lows, radius: float, tau: float):
     return [edges(*axis, _TENSOR_WPP) for axis in axes]
 
 
-def _grid_blocks(shape) -> List[tuple]:
-    """Slices that cut a grid of this shape into blocks of at most ``_BLOCK_NODES`` nodes.
+def _grid_blocks(shape, arrays: int = 1) -> List[tuple]:
+    """Slices that cut a grid of this shape into blocks whose ``arrays`` arrays of
+    the block's size together hold at most ``_BLOCK_NODES`` entries.
 
-    The cut runs along axis d, the first axis whose trailing axes hold at
-    most ``_BLOCK_NODES`` nodes: a block takes one index of every axis before
-    d, a run of axis d, and all of every axis after d.  The runs are as near
-    equal as the fewest blocks allow.  The blocks depend on the shape only.
+    The cut runs along axis d, the first axis whose trailing axes fit in a
+    block: a block takes one index of every axis before d, a run of axis d,
+    and all of every axis after d.  The runs are as near equal as the fewest
+    blocks allow.  The blocks depend on the shape and ``arrays`` only.
     """
-    d = next(k for k in range(len(shape)) if prod(shape[k + 1:]) <= _BLOCK_NODES)
-    most = _BLOCK_NODES // prod(shape[d + 1:])
+    bound = _BLOCK_NODES // arrays
+    d = next(k for k in range(len(shape)) if prod(shape[k + 1:]) <= bound)
+    most = bound // prod(shape[d + 1:])
     run = -(-shape[d] // -(-shape[d] // most))
     tail = (slice(None),) * (len(shape) - d - 1)
     return [tuple(slice(i, i + 1) for i in head) + (slice(j, j + run),) + tail
@@ -1003,6 +1006,124 @@ def _pool():
     return _POOL[1]
 
 
+def _series_order(bounds):
+    """(D, tail): where to cut e^{i g(u)}, g(u) = sum_b g_b u^b with |g_b| <= bounds[b - 1].
+
+    The coefficients of e^{i g} = sum_t E_t u^t obey t E_t = i sum_b b g_b
+    E_{t-b}, E_0 = 1; the same recurrence on the bounds, without the i, gives
+    M_t >= |E_t|.  Once q = sigma / (D + 1) < 1, sigma = sum_b b bounds[b - 1],
+    each run of B = len(bounds) coefficients past D is at most q times the
+    largest of the run before, so on |u| <= 1 the tail past u^D is at most
+    B q / (1 - q) max(M_{D-B+1}, ..., M_D).  D is the first t where that
+    bound is below ``_SERIES_TAIL``; the bound is returned with it.
+    """
+    sigma = sum(b * g for b, g in enumerate(bounds, 1))
+    m = [1.0]
+    while True:
+        t = len(m) - 1
+        q = sigma / (t + 1)
+        if q < 1.0:
+            tail = len(bounds) * max(m[-len(bounds):]) * q / (1.0 - q)
+            if tail < _SERIES_TAIL:
+                return t, tail
+        m.append(sum(b * g * m[t + 1 - b] for b, g in enumerate(bounds, 1) if b <= t + 1) / (t + 1))
+
+
+def _separated_sum(phase: Polynomial, edges, order: int, weights):
+    """sum_x e^{i phase(x)} prod_i weights[i](x_i) on the composite Gauss grid of ``edges``
+    at ``order``, with e^{i phase} exponentiated per panel row and column, not per node.
+
+    Split: u is the last axis, with panels c_p +- h_p and x_u = c_p + h_p u;
+    the other axes x' are cut into panel boxes with centres c'.  On one box
+    and one u panel,
+        phase(x', x_u) = phase(x', c_p) + [phase(c', x_u) - phase(c', c_p)] + R,
+        R = sum_{b=1..B} g_b u^b,  g_b = h_p^b [D_b(x', c_p) - D_b(c', c_p)],
+    with D_b = d_u^b phase / b! and B the degree of phase in u.  e^{iR} =
+    sum_t E_t u^t by the recurrence of ``_series_order``, cut at its D, so
+        sum = sum_{box, p} sum_{t <= D} A_t B_t,
+        A_t = sum_{x' in box} W'(x') e^{i phase(x', c_p)} E_t(x', p),
+        B_t = sum_k w_u(x_k) e^{i [phase(c', x_k) - phase(c', c_p)]} u_k^t,
+    W' the product of the x' weights and x_k the nodes of panel p.  That is
+    one exp per (x' node, u panel) and one per (box, u node), a factor of
+    the order fewer than one per node.  The row array W' e^{i phase(x', c_p)}
+    E_t follows the recurrence of E_t itself; each t is summed over the
+    nodes of its boxes and multiplied by B_t.  All B_t of a block come from
+    one matrix product of the columns with u_k^t.
+
+    Blocks: ``_grid_blocks`` cuts the row arrays, of shape (x' panels, u
+    panels, x' nodes), so that the 2B + 3 arrays of a block's size that it
+    holds at once (the new row, its B predecessors,
+    the B coefficient arrays b g_b, one product and the box sums) stay
+    within ``_BLOCK_NODES`` entries.  The blocks depend on the grid shape
+    and B only, each block's matrix product has a shape the block fixes,
+    and the partials are added in block order, so the sum is the same
+    bitwise on any number of workers.  Returns (sum, tail): tail is the
+    largest series tail of a block, so |sum - exact grid sum| <= tail
+    prod_i sum |weights[i]|.
+    """
+    degree = max(e[-1] for e in phase.terms)
+    derivatives, d = [], phase
+    for b in range(1, degree + 1):
+        d = d.partial(len(edges)).scale(Fraction(1, b))
+        derivatives.append(d)
+    u, _ = _gl(order)
+    mids = [0.5 * (e[1:] + e[:-1]) for e in edges]
+    halves = [0.5 * (e[1:] - e[:-1]) for e in edges]
+    nodes = [m[:, None] + h[:, None] * u for m, h in zip(mids, halves)]  # as ``_composite``
+    weights = [w.reshape(-1, order) for w in weights]
+    rows = len(edges) - 1
+    dims = 2 * rows + 1  # the panel axes, u's last, then the node axes of x'
+    node_axes = tuple(range(rows + 1, dims))
+
+    def on(a, axes, ndim=dims):
+        """``a`` on the given axes, in order, of an ndim-axis block array."""
+        shape = [1] * ndim
+        for axis, k in zip(axes, a.shape):
+            shape[axis] = k
+        return a.reshape(shape)
+
+    def block(cut):
+        X = [on(nodes[j][cut[j], cut[rows + 1 + j]], (j, rows + 1 + j)) for j in range(rows)]
+        C = [on(mids[j][cut[j]], (j,)) for j in range(rows)]
+        c, h = on(mids[-1][cut[rows]], (rows,)), on(halves[-1][cut[rows]], (rows,))
+        # coefficients b g_b of the recurrence, real, and their bounds
+        s = [b * h**b * (d.evaluate(X + [c]) - d.evaluate(C + [c]))
+             for b, d in enumerate(derivatives, 1)]
+        D, tail = _series_order([float(np.max(np.abs(x), initial=0.0)) / b
+                                 for b, x in enumerate(s, 1)])
+        # columns: one exp per (box, u node), times u_k^t in one matrix product
+        C = [x[..., None] for x in C]
+        col = (phase.evaluate(C + [on(nodes[-1][cut[rows]], (rows, dims), dims + 1)])
+               - phase.evaluate(C + [c[..., None]])) * 1j
+        np.exp(col, out=col)
+        col *= on(weights[-1][cut[rows]], (rows, dims), dims + 1)
+        cols = (col.reshape(-1, order) @ (u[:, None] ** np.arange(D + 1))).reshape(
+            col.shape[:-1] + (D + 1,))
+        # rows: one exp per (x' node, u panel), then the series, each term
+        # summed over the box nodes, which are the block's last axes
+        row = phase.evaluate(X + [c]) * 1j
+        np.exp(row, out=row)
+        for j in range(rows):
+            row *= on(weights[j][cut[j], cut[rows + 1 + j]], (j, rows + 1 + j))
+        acc = np.sum(row, axis=node_axes, keepdims=True) * cols[..., 0]
+        runs = [row]
+        for t in range(1, D + 1):
+            row = s[0] * runs[-1]
+            for b in range(2, min(t, degree) + 1):
+                row += s[b - 1] * runs[-b]
+            row *= 1j / t
+            runs = (runs + [row])[-degree:]
+            acc += np.sum(row, axis=node_axes, keepdims=True) * cols[..., t]
+        return complex(np.sum(acc)), tail
+
+    shape = [len(m) for m in mids] + [order] * rows
+    total, tail = 0j, 0.0
+    for partial, t in _pool().map(block, _grid_blocks(shape, 2 * degree + 3)):
+        total += partial
+        tail = max(tail, t)
+    return total, tail
+
+
 def _tensor_oscillatory(
     f: Polynomial,
     phi: TestFunction,
@@ -1025,20 +1146,26 @@ def _tensor_oscillatory(
     Factor: f = c + sum_i p_i(x_i) + m(x), where m holds the terms that mix
     variables.  Each axis carries complex weights, its Gauss weights times
     e^{i tau p_i(x_i)} x_i^{nu_i}, times eta(x_i) for a product amplitude.
-    Only e^{i tau m(x)} (one exp per node) and a radial eta(|x|) are
-    evaluated on the grid, which spans the axes of m (every axis for a
-    radial amplitude); every other axis contributes the sum of its weights.
+    Only e^{i tau m(x)} and a radial eta(|x|) are evaluated on the grid,
+    which spans the axes of m (every axis for a radial amplitude); every
+    other axis contributes the sum of its weights.  Under a product
+    amplitude ``_separated_sum`` splits tau m at the panel centres of the
+    last grid axis and of the boxes of the others, which takes one exp per
+    (row node, panel) and per (box, column node) in place of one per node;
+    its series tail times 2^k prod_i sum |w_i| joins the level's floor.  A
+    radial eta(|x|) does not split, so that grid takes one exp per node.
 
     Blocks: ``_grid_blocks`` cuts the grid into blocks of at most
-    ``_BLOCK_NODES`` nodes, in rows of the first axis where a row fits.  Each
-    block is contracted with its slices of the axis weights, the last axis
-    first, into one complex partial; the blocks run on the module's thread
-    pool (numpy releases the GIL inside its loops), so at most
-    ``_POOL_WORKERS`` blocks are in memory at once, and their partials are
-    added in block order.  The cut depends on the grid shape only, and no
-    block calls BLAS, so the result is the same bitwise on any number of
-    cores.  At tau = 0 under a product amplitude nothing is on the grid, and
-    the value is the product of the axis sums.
+    ``_BLOCK_NODES`` nodes, in rows of the first axis where a row fits (the
+    separated sum cuts its row arrays the same way, into blocks of a
+    fraction of that size).  Each node-wise block is contracted with its
+    slices of the axis weights, the last axis first, into one complex
+    partial; the blocks run on the module's thread pool (numpy releases the
+    GIL inside its loops), so at most ``_POOL_WORKERS`` blocks are in memory
+    at once, and their partials are added in block order.  The cut depends
+    on the grid shape only, so the result is the same bitwise on any number
+    of workers.  At tau = 0 under a product amplitude nothing is on the
+    grid, and the value is the product of the axis sums.
 
     The grid of every tau is built, and its budget checked at 1 wavelength
     per panel, before any tau is evaluated.
@@ -1061,25 +1188,28 @@ def _tensor_oscillatory(
             w = w * np.exp(1j * tau * p.evaluate([x])) * (x**k if k else 1.0)
             weights.append(w if radial else w * phi.cutoff(x))
         fold = 2.0 ** len(folded)
-        floor = _ROUNDOFF * fold * prod(np.sum(np.abs(w)) for w in weights)
+        mass = fold * prod(np.sum(np.abs(w)) for w in weights)
         value = fold * np.exp(1j * tau * float(const))
         phase = grid_phase.scale(Fraction(tau))
         if not (radial or phase.terms):
-            return value * prod(np.sum(w) for w in weights), floor
+            return value * prod(np.sum(w) for w in weights), _ROUNDOFF * mass
         for i in range(f.n):
             if i not in on_grid:
                 value = value * np.sum(weights[i])
-        nodes = [rules[i][0] for i in on_grid]
         grid_weights = [weights[i] for i in on_grid]
+        if not radial:
+            total, tail = _separated_sum(phase, [axes[i] for i in on_grid], order, grid_weights)
+            return value * total, (_ROUNDOFF + tail) * mass
+        nodes = [rules[i][0] for i in on_grid]
 
         def block(cut):
             coords = [x[s] for x, s in zip(nodes, cut)]
             X = [x.reshape((-1,) + (1,) * (len(coords) - 1 - k)) for k, x in enumerate(coords)]
-            grid = _radial_cutoff(phi.cutoff, X) if radial else None
+            grid = _radial_cutoff(phi.cutoff, X)
             if phase.terms:
                 wave = phase.evaluate(X) * 1j
                 np.exp(wave, out=wave)
-                grid = wave if grid is None else wave * grid
+                grid = wave * grid
             for w, s in zip(reversed(grid_weights), reversed(cut)):
                 grid = np.einsum("...j,j->...", grid, w[s])
             return grid
@@ -1087,7 +1217,7 @@ def _tensor_oscillatory(
         total = 0j
         for partial in _pool().map(block, _grid_blocks([len(x) for x in nodes])):
             total += partial
-        return value * total, floor
+        return value * total, _ROUNDOFF * mass
 
     samples = []
     for tau, axes in zip(map(float, taus), plans):
@@ -1134,8 +1264,12 @@ def eval_oscillatory(
        never retried on the tensor grid;
     3. tensor: everything else in n <= 3 goes through tensor-product
        quadrature on one phase-resolved grid per tau, folded by the sign
-       symmetries of f and the amplitude monomial; the error estimate
-       compares Gauss orders on those fixed panels, plus a roundoff floor.
+       symmetries of f and the amplitude monomial.  Under a product
+       amplitude the mixed part of f is split at panel centres, so its
+       exponentials are taken per panel row and column, not per node; a
+       radial amplitude takes one per node.  The error estimate compares
+       Gauss orders on those fixed panels, plus a roundoff floor and the
+       split's series tail.
        ``DEFAULT_MAX_PANELS`` bounds the panels the grid would have at 1
        wavelength per panel.  The separable route bounds the panels of each
        non-power axis by the same constant.

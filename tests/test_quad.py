@@ -3,6 +3,7 @@ import os
 import re
 import signal
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from math import ceil, gamma, pi, prod, sqrt
@@ -637,6 +638,59 @@ def test_folded_tensor_samples_match_dense_unfolded_reference(phase, nu, shape, 
     assert abs(s.value - _dense_tensor_reference(phase, nu, tau, shape)) <= s.error_estimate
 
 
+# -- the separated sum of the tensor grid -----------------------------------------
+
+# x2^2 + x1^2*x2 + x1^4 at nu = (1, 1) and x1^2 + x1^2*x2 + x2^4 + x1*x2^3 run on
+# unfolded grids, every other case on a folded one
+SEPARATED_PHASES = [("x2^2 + x1*x2 + x1^4", 2), ("x2^2 + x1^2*x2 + x1^4", 2),
+                    ("x1^2 + x1^2*x2 + x2^4 + x1*x2^3", 2), ("x1^3*x2^3 + x1^2 + x2^2", 2),
+                    ("x1^2 + x1*x3 + x2^4 + x3^2", 3),      # the mixed term spans two axes
+                    ("x1^2 + x2^2 + x3^2 + x1*x2*x3", 3)]   # and all three here
+SEPARATED_NODES = 1 << 21  # most nodes of one node-wise check
+
+
+def _node_wise_sum(phase, edges, order, weights):
+    """sum_x e^{i phase(x)} prod_i weights[i](x_i) on the composite Gauss grid of
+    ``edges``: one exp per node, one node of the first axis at a time."""
+    xs = [quad._composite(e, order)[0] for e in edges]
+    rest = [x.reshape((-1,) + (1,) * (len(xs) - 2 - k)) for k, x in enumerate(xs[1:])]
+    outer = weights[-1]
+    for w in reversed(weights[1:-1]):
+        outer = w[:, None] * outer
+    rows = np.array([np.sum(np.exp(1j * phase.evaluate([x] + rest)) * outer) for x in xs[0]])
+    return np.sum(rows * weights[0])
+
+
+# tau 40 is past the panel budget of the n = 3 grids
+@pytest.mark.parametrize("phase,n,nu,tau", [
+    (phase, n, nu + (0,) * (n - 2), tau) for phase, n in SEPARATED_PHASES
+    for nu in [(0, 0), (2, 0), (1, 1)] for tau in ([0.5, 10.0, 40.0] if n == 2 else [0.5, 10.0])])
+def test_separated_sum_matches_a_node_wise_sum(monkeypatch, phase, n, nu, tau):
+    # every level of the route, on its own grid and weights; a grid past
+    # SEPARATED_NODES is checked on its outermost panels, where |x| and the
+    # cross remainder of the split are largest
+    f = parse(phase, n)
+    phi = TestFunction(nu=nu, cutoff=ETA)
+    calls = []
+
+    def record(phase, edges, order, weights):
+        calls.append((phase, edges, order, weights))
+        return 0j, 0.0
+
+    monkeypatch.setattr(quad, "_separated_sum", record)
+    quad._tensor_oscillatory(f, phi, [tau], 1e-300)  # never converges, so every level runs
+    monkeypatch.undo()
+    assert [order for *_, order, _ in calls] == list(quad._TENSOR_ORDERS)
+    for phase_tau, edges, order, weights in calls:
+        k = int(SEPARATED_NODES ** (1 / len(edges)) / order)
+        edges = [e[-k - 1:] for e in edges]
+        weights = [w[-(len(e) - 1) * order:] for e, w in zip(edges, weights)]
+        got, tail = quad._separated_sum(phase_tau, edges, order, weights)
+        floor = (quad._ROUNDOFF + tail) * prod(np.sum(np.abs(w)) for w in weights)
+        assert tail <= 1e-17
+        assert abs(got - _node_wise_sum(phase_tau, edges, order, weights)) <= floor, order
+
+
 # -- row blocks of the tensor grid -------------------------------------------------
 
 
@@ -655,6 +709,7 @@ def test_radial_cutoff_is_bitwise_the_full_evaluation(eta):
 
 @pytest.mark.parametrize("phase,n,shape,tau,tol", [
     ("x1^2 + x1*x2 + x2^4", 2, "product", 40.0, 1e-10),
+    ("x1^2 + x2^2 + x3^2 + x1*x2*x3", 3, "product", 2.0, 1e-8),  # a three-axis mixed term
     ("x1^2 + x1*x2 + x2^2 + x3^2", 3, "radial", 3.0, 1e-6),
 ])
 def test_tensor_samples_do_not_depend_on_the_worker_count(monkeypatch, phase, n, shape, tau, tol):
@@ -680,13 +735,15 @@ def test_tensor_samples_do_not_depend_on_the_worker_count(monkeypatch, phase, n,
 
 @pytest.mark.parametrize("shape", [(40, 30), (7, 50, 60), (5, 3, 2500), (2, 999)])
 def test_grid_blocks_tile_the_grid_within_the_node_bound(monkeypatch, shape):
-    # a row of (7, 50, 60) and one axis of (5, 3, 2500) each exceed the bound
+    # a row of (7, 50, 60) and one axis of (5, 3, 2500) each exceed the bound;
+    # a block that holds 5 or 9 arrays of its size gets a fifth or a ninth of it
     monkeypatch.setattr(quad, "_BLOCK_NODES", 1000)
-    covered = np.zeros(shape, dtype=int)
-    for cut in quad._grid_blocks(shape):
-        assert covered[cut].size <= 1000
-        covered[cut] += 1
-    assert np.all(covered == 1)
+    for arrays in (1, 5, 9):
+        covered = np.zeros(shape, dtype=int)
+        for cut in quad._grid_blocks(shape, arrays):
+            assert covered[cut].size * arrays <= 1000
+            covered[cut] += 1
+        assert np.all(covered == 1)
 
 
 def test_grid_blocks_bound_an_n3_grid_with_large_rows():
@@ -695,6 +752,16 @@ def test_grid_blocks_bound_an_n3_grid_with_large_rows():
     sizes = [prod(len(range(*s.indices(k))) for s, k in zip(cut, shape)) for cut in blocks]
     assert max(sizes) <= quad._BLOCK_NODES
     assert sum(sizes) == prod(shape)
+
+
+def _traced_peak(fn):
+    """Peak bytes that ``tracemalloc`` sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_pool_memory_does_not_grow_with_the_cpu_count(monkeypatch):
@@ -706,6 +773,36 @@ def test_pool_memory_does_not_grow_with_the_cpu_count(monkeypatch):
         assert quad._POOL_WORKERS * quad._BLOCK_NODES <= 2_000_000
     finally:
         pool.shutdown()
+    # so a block of the separated sum may hold no more than a node-wise block
+    # of _BLOCK_NODES nodes did: one exp per node, contracted with the weights.
+    # Its row array, the B predecessors and the B coefficient arrays of the
+    # series grow with the degree B of the phase in the last axis (1 to 3 here).
+    for phase, n, panels in [("x1*x2", 2, 80), ("x1^2*x2 + x1*x2^3", 2, 80),
+                             ("x1^3*x2^3", 2, 80), ("x1*x2*x3", 3, 12)]:
+        f = parse(phase, n).scale(20)
+        x = np.linspace(-2.0, 2.0, 64)
+        X = [np.linspace(-2.0, 2.0, quad._BLOCK_NODES // 64 ** (n - 1)).reshape((-1,) + (1,) * (n - 1))]
+        X += [x.reshape((-1,) + (1,) * (n - 2 - k)) for k in range(n - 1)]
+        assert prod(v.size for v in X) == quad._BLOCK_NODES
+
+        def node_wise_block():
+            wave = f.evaluate(X) * 1j
+            np.exp(wave, out=wave)
+            for w in reversed(X[1:]):
+                wave = np.einsum("...j,j->...", wave, w.ravel())
+
+        edges = [np.linspace(-2.0, 2.0, panels + 1)] * n
+        weights = [quad._composite(e, 20)[1] + 0j for e in edges]
+        blocks = []
+
+        def serial_map(fn, cuts):  # one block at a time
+            blocks.extend(cuts)
+            return map(fn, blocks)
+
+        monkeypatch.setattr(quad, "_pool", lambda: SimpleNamespace(map=serial_map))
+        separated = _traced_peak(lambda: quad._separated_sum(f, edges, 20, weights))
+        assert len(blocks) > 1, phase
+        assert separated <= _traced_peak(node_wise_block), phase
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -944,8 +1041,8 @@ def test_axis_reference_matches_the_dense_reference(phase, nu):
 
 # x1^4 + x1^6, x1^2 - x1^4 and x1^2 + x1^3 stop tol 1e-8, 1e-10 and 1e-13 on the
 # same level at every tau (x1^2 + x1^4 at 50 or 51 of the 60), so |value - reference|
-# reads 0 there and this check proves nothing on them: only the dense check,
-# ``test_multi_term_axis_matches_dense_reference``, covers those phases.
+# reads 0 there and this check proves nothing on them: only the dense checks,
+# ``test_multi_term_axis_matches_dense_reference`` and the one below, cover them.
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 @pytest.mark.parametrize("nu", [0, 2])
 @pytest.mark.parametrize("phase", AXIS_PHASES)
@@ -954,6 +1051,19 @@ def test_axis_estimate_covers_the_reference_on_a_dense_tau_grid(phase, nu, tol):
     for tau, s, r in zip(DENSE_TAUS, _axis_series(phase, nu, tol), refs):
         assert s.converged, tau
         assert abs(s.value - r.value) <= s.error_estimate, tau
+
+
+# 6 more tau of the 60, spread over 1e2..1e4, on the phases that stop on one level.
+# The dense reference moves by up to 1.5e-14 when its panels are doubled, above
+# these samples' estimates (about 2e-15), so it checks their values to 1e-13, the
+# bound of ``test_axis_reference_matches_the_dense_reference``, not their estimates.
+@pytest.mark.parametrize("k", range(5, 60, 10))
+@pytest.mark.parametrize("nu", [0, 2])
+@pytest.mark.parametrize("phase", ["x1^4 + x1^6", "x1^2 - x1^4", "x1^2 + x1^3"])
+def test_axis_samples_that_stop_on_one_level_match_the_dense_reference(phase, nu, k):
+    s = _axis_series(phase, nu, 1e-10)[k]
+    assert s.converged
+    assert abs(s.value - _dense_axis_reference(phase, DENSE_TAUS[k])[nu]) <= 1e-13, DENSE_TAUS[k]
 
 
 # -- calibration of the tensor route against references that share no grid with it --
